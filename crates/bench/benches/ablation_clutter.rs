@@ -13,7 +13,6 @@ use mmwave_dsp::processing::ClutterRemoval;
 use mmwave_har::PrototypeConfig;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("ablation_clutter");
     banner(
         "Ablation",
         "clutter removal: calibrated background subtraction vs. per-burst MTI",

@@ -20,7 +20,6 @@ use mmwave_radar::trigger::TriggerAttachment;
 use mmwave_radar::{Environment, Placement};
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("defense_eval");
     banner(
         "Defense",
         "trigger detection and augmentation defense (Section VII)",

@@ -13,7 +13,6 @@ use mmwave_har::PrototypeConfig;
 use mmwave_shap::argmax;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig03_shap_histogram");
     banner(
         "Fig. 3",
         "index distribution of the most important frames (SHAP)",

@@ -13,7 +13,6 @@ use mmwave_radar::trigger::TriggerAttachment;
 use mmwave_radar::{Environment, Placement};
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig05_heatmap_stealth");
     banner(
         "Fig. 5",
         "DRAI heatmaps with and without a trigger (stealthiness)",

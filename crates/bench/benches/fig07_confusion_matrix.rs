@@ -12,7 +12,6 @@ use mmwave_har::model::CnnLstm;
 use mmwave_har::trainer::{Trainer, TrainerConfig};
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig07_confusion_matrix");
     banner(
         "Fig. 7",
         "clean-prototype confusion matrix",

@@ -11,7 +11,6 @@ use mmwave_bench::{banner, sweep_injection_rates, Stopwatch};
 use mmwave_har::PrototypeConfig;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig08_similar_rate");
     banner(
         "Fig. 8",
         "similar-trajectory attacks vs. injection rate",

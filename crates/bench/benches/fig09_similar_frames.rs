@@ -9,7 +9,6 @@ use mmwave_bench::{banner, sweep_frame_counts, Stopwatch};
 use mmwave_har::PrototypeConfig;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig09_similar_frames");
     banner(
         "Fig. 9",
         "similar-trajectory attacks vs. poisoned frames",

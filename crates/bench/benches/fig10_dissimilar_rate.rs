@@ -9,7 +9,6 @@ use mmwave_bench::{banner, sweep_injection_rates, Stopwatch};
 use mmwave_har::PrototypeConfig;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig10_dissimilar_rate");
     banner(
         "Fig. 10",
         "dissimilar-trajectory attacks vs. injection rate",

@@ -8,7 +8,6 @@ use mmwave_bench::{banner, sweep_frame_counts, Stopwatch};
 use mmwave_har::PrototypeConfig;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig11_dissimilar_frames");
     banner(
         "Fig. 11",
         "dissimilar-trajectory attacks vs. poisoned frames",

@@ -10,7 +10,6 @@ use mmwave_har::PrototypeConfig;
 use mmwave_radar::trigger::Trigger;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig12_trigger_size_rate");
     banner(
         "Fig. 12",
         "trigger size comparison vs. injection rate (Push -> Pull)",

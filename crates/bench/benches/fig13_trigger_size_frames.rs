@@ -9,7 +9,6 @@ use mmwave_har::PrototypeConfig;
 use mmwave_radar::trigger::Trigger;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig13_trigger_size_frames");
     banner(
         "Fig. 13",
         "trigger size comparison vs. poisoned frames (Push -> Pull)",

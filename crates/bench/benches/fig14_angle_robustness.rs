@@ -12,7 +12,6 @@ use mmwave_har::PrototypeConfig;
 use mmwave_radar::Placement;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig14_angle_robustness");
     banner(
         "Fig. 14",
         "impact of the angle on ASR (distance 1.6 m)",

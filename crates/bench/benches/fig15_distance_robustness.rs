@@ -12,7 +12,6 @@ use mmwave_har::PrototypeConfig;
 use mmwave_radar::Placement;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("fig15_distance_robustness");
     banner(
         "Fig. 15",
         "impact of the distance on ASR (angle 0 deg)",

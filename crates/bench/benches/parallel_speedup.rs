@@ -51,7 +51,6 @@ fn best_of(iters: usize, mut f: impl FnMut()) -> Duration {
 }
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("parallel_speedup");
     let frames = synth_frames();
     let processor = Processor::new(N_VRX, N_CHIRPS, N_ADC, ProcessingConfig::default());
 

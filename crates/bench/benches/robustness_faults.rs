@@ -26,7 +26,6 @@ use mmwave_radar::trigger::TriggerAttachment;
 use mmwave_radar::Environment;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("robustness_faults");
     banner(
         "Robustness",
         "attack metrics vs injected sensor-fault severity",

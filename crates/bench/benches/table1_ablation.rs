@@ -18,7 +18,6 @@ use mmwave_body::SiteId;
 use mmwave_har::PrototypeConfig;
 
 fn main() {
-    let _baseline = mmwave_bench::baseline::BaselineGuard::new("table1_ablation");
     banner(
         "Table I",
         "impact of each module and under-clothing triggers (Push -> Pull, rate 0.4, 8 frames)",

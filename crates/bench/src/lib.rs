@@ -12,11 +12,9 @@
 //!   default here: 1);
 //! * `MMWAVE_BENCH_SCALE` — dataset-size multiplier (default 1).
 //!
-//! Every target also records a machine-readable perf baseline
-//! (`BENCH_<name>.json`, see [`baseline`]) that the `mmwave perf-check`
-//! regression gate ([`perfcheck`]) compares across runs.
+//! Performance is measured by `perfbench/` under the root `BENCHMARK.json`;
+//! [`perfcheck`] is the `mmwave perf-check` gate over its results.
 
-pub mod baseline;
 pub mod perfcheck;
 
 use mmwave_backdoor::AttackMetrics;

@@ -155,8 +155,7 @@ pub struct Arrival {
 
 /// The loadgen result: throughput, latency percentiles, drop rate, and
 /// the service's closing frame-conservation ledger. Saved as a
-/// checksummed `store` artifact so `mmwave perf-check` and CI can gate
-/// on it.
+/// checksummed `store` artifact so CI can gate on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoadgenReport {
     /// Report schema version (bumped on incompatible changes).

@@ -1,7 +1,7 @@
 //! # mmwave-store — the durable artifact layer
 //!
 //! Every artifact the pipeline trusts across process lifetimes — campaign
-//! journals and reports, trainer checkpoints, model JSON, perf baselines —
+//! journals and reports, trainer checkpoints, model JSON, loadgen reports —
 //! goes through this crate instead of bare `fs::write`:
 //!
 //! * **Atomic writes** ([`write_atomic`], [`save_json_atomic`]): write to a
@@ -152,7 +152,7 @@ impl StoreError {
     /// True for the failure modes a caller can recover from without human
     /// intervention: the bad file has been moved aside ([`Self::Torn`],
     /// [`Self::CorruptPayload`]), so the caller may regenerate the
-    /// artifact in place (baselines, traces) or fall back to an earlier
+    /// artifact in place (reports, traces) or fall back to an earlier
     /// one (checkpoints, journals).
     pub fn is_recoverable(&self) -> bool {
         matches!(self, StoreError::Torn { .. } | StoreError::CorruptPayload { .. })

@@ -133,15 +133,6 @@ impl Profile {
         out
     }
 
-    /// Flat `path -> (calls, inclusive_ms, exclusive_ms)` view — the shape
-    /// the bench baselines persist.
-    pub fn stage_table(&self) -> BTreeMap<String, (u64, f64, f64)> {
-        self.flatten()
-            .into_iter()
-            .map(|n| (n.path.clone(), (n.calls, n.inclusive_ms, n.exclusive_ms)))
-            .collect()
-    }
-
     /// Renders the top-`n` hotspot table: nodes sorted by exclusive time,
     /// with the share of total exclusive time per row. The shares are
     /// computed against the whole tree, so any top-N listing sums to

@@ -146,14 +146,9 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "perf-check",
-        summary: "compare BENCH_*.json perf baselines; nonzero exit on regression",
+        summary: "compare perfbench BENCH_<workload>.json sets under BENCHMARK.json's bounds",
         positional: Some("<results-dir>"),
-        flags: &[&[
-            ("baseline", Some("<dir>"), "baseline dir (required)"),
-            ("threshold", Some("<frac>"), "relative slowdown that counts (default 0.15)"),
-            ("noise-ms", Some("<ms>"), "absolute noise floor (default 50)"),
-            ("report-only", None, "report regressions but exit 0"),
-        ]],
+        flags: &[&[("baseline", Some("<dir>"), "baseline dir (required)")]],
         run: perf_check,
         stage_summary: false,
     },
@@ -245,7 +240,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "loadgen",
-        summary: "replay seeded sensor streams; write the latency report and BENCH_loadgen.json",
+        summary: "replay seeded sensor streams; write the latency report",
         positional: None,
         flags: &[STREAM_FLAGS, &[
             ("paced", None, "honour arrival times instead of a firehose"),
@@ -655,28 +650,17 @@ fn attack(args: &Args) -> CommandResult {
 }
 
 /// The perf regression gate: `mmwave perf-check <results-dir> --baseline
-/// <dir>` compares the `BENCH_*.json` files two bench runs wrote (see
-/// `mmwave-bench::baseline`) and exits nonzero when anything regressed.
+/// <dir>` compares the `BENCH_<workload>.json` perfbench results that
+/// `run_benches.sh` wrote (see `mmwave-bench::perfcheck`) and exits nonzero
+/// when any workload regressed or either directory lacks a workload.
 fn perf_check(args: &Args) -> CommandResult {
-    use mmwave_har_backdoor::bench::perfcheck::{self, PerfCheckConfig};
+    use mmwave_har_backdoor::bench::perfcheck;
     let results_dir = args.required_positional()?;
     let baseline_dir = args.required("baseline")?;
-    let defaults = PerfCheckConfig::default();
-    let config = PerfCheckConfig {
-        threshold: args
-            .get("threshold", "a positive fraction (e.g. 0.15)", parse_positive_f64)?
-            .unwrap_or(defaults.threshold),
-        noise_floor_ms: args
-            .get("noise-ms", "a non-negative number of milliseconds", |raw| {
-                finite(raw).filter(|n| *n >= 0.0)
-            })?
-            .unwrap_or(defaults.noise_floor_ms),
-        report_only: args.switch("report-only"),
-    };
-    Ok(match perfcheck::run(results_dir, baseline_dir, &config) {
+    Ok(match perfcheck::run(Path::new(results_dir), Path::new(baseline_dir)) {
         Ok(report) => {
             println!("{report}");
-            if report.exit_code() == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE }
+            if report.has_regressions() { ExitCode::FAILURE } else { ExitCode::SUCCESS }
         }
         Err(e) => {
             eprintln!("error: perf-check failed: {e}");
@@ -1319,8 +1303,7 @@ fn serve_chaos_cmd(args: &Args) -> CommandResult {
 
 /// `mmwave loadgen`: replays N seeded sensor streams against a fresh
 /// service (firehose by default, `--paced` to honor arrival times) and
-/// writes the throughput/latency report as a checksummed artifact plus
-/// a `BENCH_loadgen.json` baseline `mmwave perf-check` can gate.
+/// writes the throughput/latency report as a checksummed artifact.
 /// With `--profile <path>` the model-health monitor scores every window
 /// against that clean baseline and appends alerts to
 /// `<out>/alerts.jsonl`; `--poison-frac <f>` streams physically
@@ -1328,7 +1311,6 @@ fn serve_chaos_cmd(args: &Args) -> CommandResult {
 /// frame ends up unaccounted, or — under `--fail-on-alarm` — if any
 /// alert fired.
 fn loadgen_cmd(args: &Args) -> CommandResult {
-    use mmwave_har_backdoor::bench::baseline::{self, BenchBaseline};
     use mmwave_har_backdoor::monitor;
     let lg = loadgen_config(args, serve::LoadgenConfig::default())?;
     let serve_cfg = serve::ServeConfig::from_env();
@@ -1443,23 +1425,6 @@ fn loadgen_cmd(args: &Args) -> CommandResult {
         return Ok(ExitCode::FAILURE);
     }
     println!("  report          {}", report_path.display());
-    let bench = BenchBaseline {
-        schema_version: baseline::SCHEMA_VERSION,
-        bench: "loadgen".to_string(),
-        wall_ms: report.wall_ms,
-        workers: report.workers,
-        iterations: 1,
-        throughput_per_sec: Some(report.inferences_per_sec),
-        git_sha: baseline::git_sha(),
-        timestamp_ms: telemetry::event::unix_millis(),
-        stages: std::collections::BTreeMap::new(),
-    };
-    let bench_path = out_dir.join(BenchBaseline::file_name("loadgen"));
-    if let Err(e) = bench.save(&bench_path) {
-        telemetry::error!("cannot save the loadgen perf baseline: {e}");
-        return Ok(ExitCode::FAILURE);
-    }
-    println!("  baseline        {}", bench_path.display());
     if !report.is_clean() {
         telemetry::error!(
             "frame accounting imbalance: {} frame(s) unaccounted",

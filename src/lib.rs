@@ -24,7 +24,7 @@
 //! | [`store`] | `mmwave-store` | atomic checksummed artifact I/O, quarantine, crash points |
 //! | [`serve`] | `mmwave-serve` | streaming inference service + load generator |
 //! | [`monitor`] | `mmwave-monitor` | model-health drift scores + backdoor-activation alarms |
-//! | [`bench`] | `mmwave-bench` | bench harness, perf baselines, regression gate |
+//! | [`bench`] | `mmwave-bench` | paper benches, perf-check over perfbench baselines |
 //!
 //! See `examples/quickstart.rs` for a guided tour, and the `mmwave-bench`
 //! crate for the reproduction of every table and figure in the paper.

@@ -18,7 +18,7 @@ use std::fs;
 use mmwave_har_backdoor::har::PrototypeConfig;
 use mmwave_har_backdoor::monitor::{self, AlertKind, MonitorConfig, MonitorOutcome};
 use mmwave_har_backdoor::radar::Environment;
-use mmwave_har_backdoor::serve::{LoadgenConfig, ServeConfig};
+use mmwave_har_backdoor::serve::{loadgen, LoadgenConfig, ServeConfig};
 
 /// 10 sessions x 64 frames at clip_len 8: 8 verdict rounds of 10, so
 /// the auto window (2 x sessions = 20) spans exactly two rounds and 80
@@ -91,7 +91,15 @@ fn run_monitored_at(workers: usize, poison_frac: f64, tag: &str) -> (MonitorOutc
 fn clean_run_is_provably_quiet_at_any_worker_count() {
     let (serial, serial_bytes) = run_monitored_at(1, 0.0, "clean_w1");
     let (parallel, parallel_bytes) = run_monitored_at(4, 0.0, "clean_w4");
+    let proto = PrototypeConfig::smoke_test();
+    let bare =
+        loadgen::run(&stream_config(0.0), serve_config(&proto), &proto, Environment::hallway())
+            .expect("bare loadgen run succeeds");
     for (outcome, bytes) in [(&serial, &serial_bytes), (&parallel, &parallel_bytes)] {
+        assert_eq!(
+            outcome.report.verdicts, bare.verdicts,
+            "attaching the monitor must not change the verdict count"
+        );
         assert!(outcome.report.is_clean(), "clean run must account every frame");
         assert_eq!(outcome.report.shed_frames, 0, "round alignment requires zero shed");
         assert_eq!(outcome.report.poisoned_sessions, 0);
