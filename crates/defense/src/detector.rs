@@ -44,6 +44,11 @@ impl TriggerDetector {
         TriggerDetector { model: CnnLstm::new(&det_cfg, seed) }
     }
 
+    /// Heatmap geometry `(rows, cols)` every scored frame must have.
+    pub fn input_shape(&self) -> (usize, usize) {
+        self.model.input_shape()
+    }
+
     /// Probability that `sample` contains a trigger.
     pub fn score(&self, sample: &HeatmapSeq) -> f64 {
         softmax(&self.model.logits(sample))[1] as f64

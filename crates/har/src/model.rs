@@ -117,6 +117,11 @@ impl CnnLstm {
         self.head.n_out()
     }
 
+    /// Heatmap geometry `(rows, cols)` every input frame must have.
+    pub fn input_shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
     /// CNN feature dimension.
     pub fn feature_dim(&self) -> usize {
         self.feat.n_out()

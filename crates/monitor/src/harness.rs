@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use mmwave_har::PrototypeConfig;
 use mmwave_radar::Environment;
 use mmwave_serve::loadgen::{self, LoadgenConfig, LoadgenReport};
-use mmwave_serve::ServeConfig;
+use mmwave_serve::{ServeConfig, ServedModel};
 use mmwave_store::{append_jsonl, StoreError};
 
 use crate::alert::Alert;
@@ -29,20 +29,22 @@ pub struct MonitorOutcome {
     pub last_drift: Option<DriftScores>,
 }
 
-/// Captures a clean reference profile by replaying `lg` with
-/// `poison_frac` forced to zero — the baseline is clean *by
-/// construction*, whatever the caller's config says. Returns the
-/// profile together with the capture run's loadgen report so callers
-/// can verify the run itself was healthy (no shed frames, accounted).
+/// Captures a clean reference profile of the deployed model `served` by
+/// replaying `lg` with `poison_frac` forced to zero — the baseline is
+/// clean *by construction*, whatever the caller's config says. Returns
+/// the profile together with the capture run's loadgen report so
+/// callers can verify the run itself was healthy (no shed frames,
+/// accounted).
 pub fn capture_profile(
     lg: &LoadgenConfig,
     serve_cfg: ServeConfig,
     proto: &PrototypeConfig,
     environment: Environment,
+    served: &ServedModel,
 ) -> Result<(ReferenceProfile, LoadgenReport), MonitorError> {
     let clean = LoadgenConfig { poison_frac: 0.0, ..lg.clone() };
     let mut profile = ReferenceProfile::new(clean.seed, clean.sessions, proto.n_classes);
-    let report = loadgen::run_with(&clean, serve_cfg, proto, environment, |v| {
+    let report = loadgen::run_serving(&clean, serve_cfg, proto, environment, served, |v| {
         // Failed verdicts carry poisoned placeholder fields, not model
         // outputs; folding them in would skew the baseline.
         if !v.status.is_failed() {
@@ -53,7 +55,9 @@ pub fn capture_profile(
     Ok((profile, report))
 }
 
-/// Runs the load generator with a [`Monitor`] folding in every verdict.
+/// Runs the load generator against the deployed model `served` with a
+/// [`Monitor`] folding in every verdict. `reference` should come from
+/// [`capture_profile`] on the same `served` pair.
 ///
 /// `cfg.window == 0` (the auto sentinel) resolves to `2 * lg.sessions`:
 /// on an unshed round-aligned stream every window then contains each
@@ -69,11 +73,13 @@ pub fn capture_profile(
 /// `monitor.alert_write_failed`), the partial file is removed so a
 /// misleading truncated log never survives on disk, and the run
 /// returns the sink error instead of an outcome.
+#[allow(clippy::too_many_arguments)]
 pub fn run_monitored(
     lg: &LoadgenConfig,
     serve_cfg: ServeConfig,
     proto: &PrototypeConfig,
     environment: Environment,
+    served: &ServedModel,
     cfg: &MonitorConfig,
     reference: ReferenceProfile,
     alerts_path: Option<&Path>,
@@ -89,7 +95,7 @@ pub fn run_monitored(
 
     let mut alerts: Vec<Alert> = Vec::new();
     let mut sink_error: Option<StoreError> = None;
-    let report = loadgen::run_with(lg, serve_cfg, proto, environment, |v| {
+    let report = loadgen::run_serving(lg, serve_cfg, proto, environment, served, |v| {
         // Failed verdicts never reach the drift engine: their zeroed
         // label/confidence/score fields are pipeline noise, not model
         // behavior, and would fire false class-drift alarms. Pipeline

@@ -27,7 +27,8 @@
 //!   across worker counts for a fixed seed.
 //! - [`harness`]: glue that runs the load generator with a monitor
 //!   attached ([`run_monitored`]) or captures a reference profile from
-//!   provably clean traffic ([`capture_profile`]).
+//!   provably clean traffic ([`capture_profile`]). Both take the
+//!   deployed model pair (`mmwave_serve::ServedModel`) they watch.
 //!
 //! Windowing is **count-based** (every `window` verdicts), never
 //! wall-clock, inheriting the serve layer's determinism guarantees; the

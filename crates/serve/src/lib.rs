@@ -14,6 +14,9 @@
 //!   `pump` windows rings into `clip_len`-frame clips, coalesces ready
 //!   clips across sessions into micro-batches, and runs
 //!   DSP → CNN-LSTM → trigger detector on `exec`'s deterministic pool.
+//!   The classifier + detector pair it serves is a [`ServedModel`]:
+//!   [`Service::new`] serves a freshly seeded, untrained pair,
+//!   [`Service::serving`] a given one (e.g. a backdoored victim).
 //! - [`Accounting`]: the frame-conservation ledger. At any instant
 //!   `ingested == inferred + shed + in_flight`; nothing is dropped
 //!   silently.
@@ -58,7 +61,7 @@ pub use breaker::{Breaker, BreakerState};
 pub use chaos::{ChaosCellReport, StreamChaos};
 pub use loadgen::{is_poisoned, poisoned_sessions, run as run_loadgen, LoadgenConfig, LoadgenReport};
 pub use ring::FrameRing;
-pub use service::{Accounting, ReadyClip, Service, Verdict, VerdictStatus};
+pub use service::{Accounting, ReadyClip, ServedModel, Service, Verdict, VerdictStatus};
 pub use session::{PendingFrame, SessionState};
 
 use std::fmt;

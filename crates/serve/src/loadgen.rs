@@ -27,7 +27,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::chaos::{self, StreamChaos};
-use crate::service::{Service, Verdict};
+use crate::service::{ServedModel, Service, Verdict};
 use crate::{ServeConfig, ServeError};
 
 /// Distinct base capture streams to synthesize; sessions beyond this
@@ -244,8 +244,10 @@ impl LoadgenReport {
     }
 }
 
-/// Runs the load generator against a fresh [`Service`] and returns the
-/// report. See [`run_with`] to also observe each verdict as it lands.
+/// Runs the load generator against a fresh [`Service`] serving the
+/// freshly seeded pair `ServedModel::seeded(proto, lg.seed)` and returns
+/// the report. See [`run_with`] to also observe each verdict as it
+/// lands, and [`run_serving`] to serve a given model.
 pub fn run(
     lg: &LoadgenConfig,
     serve_cfg: ServeConfig,
@@ -262,11 +264,26 @@ pub fn run_with(
     serve_cfg: ServeConfig,
     proto: &PrototypeConfig,
     environment: Environment,
+    on_verdict: impl FnMut(&Verdict),
+) -> Result<LoadgenReport, ServeError> {
+    let served = ServedModel::seeded(proto, lg.seed);
+    run_serving(lg, serve_cfg, proto, environment, &served, on_verdict)
+}
+
+/// [`run_with`] against a service built around `served` instead of the
+/// freshly seeded pair — e.g. a backdoored victim from the attack plane.
+pub fn run_serving(
+    lg: &LoadgenConfig,
+    serve_cfg: ServeConfig,
+    proto: &PrototypeConfig,
+    environment: Environment,
+    served: &ServedModel,
     mut on_verdict: impl FnMut(&Verdict),
 ) -> Result<LoadgenReport, ServeError> {
     lg.validate()?;
     let _span = span("serve.loadgen");
-    let mut service = Service::new(serve_cfg.clone(), proto, environment.clone(), lg.seed)?;
+    let mut service =
+        Service::serving(serve_cfg.clone(), proto, environment.clone(), served.clone())?;
     let (base, triggered) = synthesize_streams(lg, proto, &environment);
     let arrivals = match &lg.chaos {
         Some(chaos) => chaos.apply_to_schedule(&schedule(lg)),

@@ -233,18 +233,84 @@ pub struct Service {
     epoch: Instant,
 }
 
-impl Service {
-    /// Builds a service around a freshly seeded model + detector pair.
+/// The model pair a [`Service`] serves: the activity classifier whose
+/// labels become verdicts, and the trigger detector whose score rides
+/// along as `defense_score`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServedModel {
+    /// The HAR classifier — in the paper's threat model, the victim
+    /// that may carry a backdoor.
+    pub model: CnnLstm,
+    /// The binary trigger detector (Section VII).
+    pub detector: TriggerDetector,
+}
+
+impl ServedModel {
+    /// A freshly seeded, untrained pair: `CnnLstm::new(proto, seed)` and
+    /// `TriggerDetector::new(proto, seed ^ 0x5e7e_c7ed)`. This is what
+    /// [`Service::new`] and [`crate::loadgen::run`] serve.
     ///
-    /// `config.clip_len` must match `proto.n_frames` — the CNN-LSTM was
-    /// shaped for exactly that many frames per clip — and the capture
-    /// pipeline is taken from `proto` so loadgen-synthesized frames have
-    /// matching dimensions.
+    /// # Panics
+    ///
+    /// Panics if `proto` fails validation (see [`CnnLstm::new`]).
+    pub fn seeded(proto: &PrototypeConfig, seed: u64) -> ServedModel {
+        ServedModel {
+            model: CnnLstm::new(proto, seed),
+            detector: TriggerDetector::new(proto, seed ^ 0x5e7e_c7ed),
+        }
+    }
+
+    /// Refuses a pair that cannot serve `proto`'s clips: the classifier
+    /// must have `proto.n_classes` outputs, and both networks must take
+    /// the heatmaps `proto`'s capture pipeline produces.
+    fn check(&self, proto: &PrototypeConfig) -> Result<(), ServeError> {
+        proto.validate().map_err(|e| ServeError::Config(format!("prototype config: {e}")))?;
+        let geometry = (proto.heatmap_rows, proto.heatmap_cols);
+        if self.model.n_classes() != proto.n_classes {
+            return Err(ServeError::Config(format!(
+                "the served model has {} classes, the prototype {}",
+                self.model.n_classes(),
+                proto.n_classes
+            )));
+        }
+        for (name, shape) in
+            [("model", self.model.input_shape()), ("detector", self.detector.input_shape())]
+        {
+            if shape != geometry {
+                return Err(ServeError::Config(format!(
+                    "the served {name} takes {shape:?} heatmaps, the prototype makes {geometry:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Service {
+    /// Builds a service around a freshly seeded model + detector pair
+    /// ([`ServedModel::seeded`]). See [`Service::serving`].
     pub fn new(
         config: ServeConfig,
         proto: &PrototypeConfig,
         environment: Environment,
         seed: u64,
+    ) -> Result<Service, ServeError> {
+        Service::serving(config, proto, environment, ServedModel::seeded(proto, seed))
+    }
+
+    /// Builds a service around the given model + detector pair.
+    ///
+    /// `config.clip_len` must match `proto.n_frames` — the CNN-LSTM was
+    /// shaped for exactly that many frames per clip — and the capture
+    /// pipeline is taken from `proto` so loadgen-synthesized frames have
+    /// matching dimensions. A pair whose class count or heatmap geometry
+    /// does not match `proto` is refused with [`ServeError::Config`]
+    /// rather than failing every clip at inference time.
+    pub fn serving(
+        config: ServeConfig,
+        proto: &PrototypeConfig,
+        environment: Environment,
+        served: ServedModel,
     ) -> Result<Service, ServeError> {
         config.validate()?;
         if config.clip_len != proto.n_frames {
@@ -253,10 +319,10 @@ impl Service {
                 config.clip_len, proto.n_frames
             )));
         }
+        served.check(proto)?;
         let _span = span("serve.init");
         let capturer = Capturer::new(proto.capture.0.clone());
-        let model = CnnLstm::new(proto, seed);
-        let detector = TriggerDetector::new(proto, seed ^ 0x5e7e_c7ed);
+        let ServedModel { model, detector } = served;
         let breaker = Breaker::new(config.breaker_threshold, config.breaker_cooldown);
         breaker.publish();
         Ok(Service {
@@ -607,5 +673,49 @@ impl Service {
             acc.peak_ring_depth = acc.peak_ring_depth.max(state.peak_ring_depth);
         }
         acc
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn smoke() -> (ServeConfig, PrototypeConfig) {
+        let proto = PrototypeConfig::smoke_test();
+        (ServeConfig { clip_len: proto.n_frames, ..ServeConfig::default() }, proto)
+    }
+
+    fn refusal(served: ServedModel) -> String {
+        let (cfg, proto) = smoke();
+        match Service::serving(cfg, &proto, Environment::hallway(), served) {
+            Err(ServeError::Config(detail)) => detail,
+            Ok(_) => panic!("a mismatched pair must be refused"),
+        }
+    }
+
+    #[test]
+    fn serving_refuses_the_two_class_detector_as_the_victim() {
+        let (_, proto) = smoke();
+        let two_class = PrototypeConfig { n_classes: 2, ..proto.clone() };
+        let served =
+            ServedModel { model: CnnLstm::new(&two_class, 7), ..ServedModel::seeded(&proto, 7) };
+        let detail = refusal(served);
+        assert!(detail.contains("2 classes"), "{detail}");
+    }
+
+    #[test]
+    fn serving_refuses_a_pair_built_for_other_heatmaps() {
+        let (_, proto) = smoke();
+        let mut other = proto.clone();
+        other.capture.0.processing.n_range_bins = proto.heatmap_rows / 2;
+        other.heatmap_rows = proto.heatmap_rows / 2;
+        other.validate().expect("the other geometry is itself valid");
+        let seeded = ServedModel::seeded(&proto, 7);
+        let detail =
+            refusal(ServedModel { model: CnnLstm::new(&other, 7), ..seeded.clone() });
+        assert!(detail.contains("model"), "{detail}");
+        let detail =
+            refusal(ServedModel { detector: TriggerDetector::new(&other, 7), ..seeded });
+        assert!(detail.contains("detector"), "{detail}");
     }
 }

@@ -1347,6 +1347,7 @@ fn loadgen_cmd(args: &Args) -> CommandResult {
                 serve_cfg,
                 &proto,
                 Environment::hallway(),
+                &serve::ServedModel::seeded(&proto, lg.seed),
                 &mon_cfg,
                 reference,
                 Some(&alerts_path),
@@ -1457,8 +1458,9 @@ fn profile_cmd(args: &Args) -> CommandResult {
     let serve_cfg = serve::ServeConfig::from_env();
     let proto = PrototypeConfig::fast();
     let out = PathBuf::from(args.text("out").unwrap_or("monitor_profile.json"));
+    let served = serve::ServedModel::seeded(&proto, lg.seed);
     let (profile, report) =
-        match monitor::capture_profile(&lg, serve_cfg, &proto, Environment::hallway()) {
+        match monitor::capture_profile(&lg, serve_cfg, &proto, Environment::hallway(), &served) {
             Ok(r) => r,
             Err(e) => {
                 telemetry::error!("profile capture failed: {e}");

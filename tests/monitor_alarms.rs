@@ -1,4 +1,16 @@
-//! Deterministic model-health alarm proof (ISSUE 9 acceptance):
+//! Deterministic model-health alarm proof.
+//!
+//! The served model is the attack's victim: a CNN-LSTM backdoored by
+//! the push→pull attack with the aluminum 2×2 trigger fixed at the
+//! chest (the trigger and site loadgen's triggered streams wear),
+//! trained at `ExperimentScale::fast()` on the smoke-test prototype,
+//! once per test process. It is served with the seeded trigger detector
+//! that `Service::new` serves. The drill needs a backdoored victim: the
+//! backdoor rule fires only when a class-rate spike co-occurs with
+//! trigger-score tail mass, and only a model that learned the trigger
+//! flips triggered verdicts to the target class. A freshly seeded,
+//! untrained network gives every clip the same label, clean or
+//! triggered, so its spike is zero and the rule cannot fire.
 //!
 //! 1. A clean loadgen run under the monitor produces an *empty*
 //!    `alerts.jsonl` (the file exists — positive evidence monitoring
@@ -14,11 +26,16 @@
 //!    wall-clock fields.
 
 use std::fs;
+use std::sync::OnceLock;
 
-use mmwave_har_backdoor::har::PrototypeConfig;
+use mmwave_har_backdoor::backdoor::experiment::{
+    AttackSpec, ExperimentContext, ExperimentScale, SiteChoice,
+};
+use mmwave_har_backdoor::body::SiteId;
+use mmwave_har_backdoor::har::{CnnLstm, PrototypeConfig};
 use mmwave_har_backdoor::monitor::{self, AlertKind, MonitorConfig, MonitorOutcome};
 use mmwave_har_backdoor::radar::Environment;
-use mmwave_har_backdoor::serve::{loadgen, LoadgenConfig, ServeConfig};
+use mmwave_har_backdoor::serve::{loadgen, LoadgenConfig, ServeConfig, ServedModel};
 
 /// 10 sessions x 64 frames at clip_len 8: 8 verdict rounds of 10, so
 /// the auto window (2 x sessions = 20) spans exactly two rounds and 80
@@ -51,6 +68,21 @@ fn serve_config(proto: &PrototypeConfig) -> ServeConfig {
     }
 }
 
+/// The push→pull victim with the trigger at the chest, trained once per
+/// process (default seed 0) and shared by both tests.
+fn victim() -> &'static CnnLstm {
+    static VICTIM: OnceLock<CnnLstm> = OnceLock::new();
+    VICTIM.get_or_init(|| {
+        let mut ctx = ExperimentContext::new_with_config(
+            PrototypeConfig::smoke_test(),
+            ExperimentScale::fast(),
+            0,
+        );
+        let spec = AttackSpec { site: SiteChoice::Fixed(SiteId::Chest), ..AttackSpec::default() };
+        ctx.train_backdoored(&spec).0
+    })
+}
+
 /// Captures a clean reference, then replays the (possibly poisoned)
 /// stream under the monitor at the given worker count. Returns the
 /// outcome and the raw bytes of the alert log.
@@ -59,13 +91,14 @@ fn run_monitored_at(workers: usize, poison_frac: f64, tag: &str) -> (MonitorOutc
     let serve_cfg = serve_config(&proto);
     let lg = stream_config(poison_frac);
     let environment = Environment::hallway();
+    let served = ServedModel { model: victim().clone(), ..ServedModel::seeded(&proto, lg.seed) };
     let alerts_path = std::env::temp_dir()
         .join(format!("mmwave_monitor_alarms_{tag}_{}.jsonl", std::process::id()));
     let outcome = mmwave_har_backdoor::exec::with_workers(workers, || {
         // capture_profile forces poison_frac = 0, so the baseline is
         // clean even though `lg` may poison.
         let (reference, baseline_report) =
-            monitor::capture_profile(&lg, serve_cfg.clone(), &proto, environment.clone())
+            monitor::capture_profile(&lg, serve_cfg.clone(), &proto, environment.clone(), &served)
                 .expect("baseline capture succeeds");
         assert!(
             baseline_report.is_clean() && baseline_report.shed_frames == 0,
@@ -76,6 +109,7 @@ fn run_monitored_at(workers: usize, poison_frac: f64, tag: &str) -> (MonitorOutc
             serve_cfg.clone(),
             &proto,
             environment.clone(),
+            &served,
             &MonitorConfig::default(),
             reference,
             Some(&alerts_path),
