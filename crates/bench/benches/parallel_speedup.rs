@@ -1,5 +1,5 @@
 //! Engineering benchmark (not from the paper): scaling of the
-//! `mmwave-exec` work-stealing pool on the batched DRAI pipeline.
+//! `mmwave-exec` thread pool on the batched DRAI pipeline.
 //!
 //! Runs the same 64-frame DRAI batch at 1, 2, and 4 workers, reports
 //! frames/s and the speedup over the exact-serial path, and asserts the

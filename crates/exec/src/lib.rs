@@ -1,6 +1,6 @@
 //! Deterministic parallel execution runtime for the mmWave pipeline.
 //!
-//! `mmwave-exec` is a std+crossbeam work-stealing thread pool wrapped in
+//! `mmwave-exec` is a std-only thread pool with one job queue, wrapped in
 //! scoped data-parallel primitives: [`par_map`] (input-order-preserving),
 //! [`par_map_range`], [`par_chunks`], and [`par_reduce`]. The global pool
 //! is sized by `MMWAVE_WORKERS` (default: available parallelism; `1` is an
@@ -37,22 +37,23 @@
 //!
 //! # Scheduling
 //!
-//! Jobs are pushed to a global [`crossbeam::deque::Injector`]; workers
-//! move batches into per-thread local deques and steal from each other
-//! when idle. The *caller* also helps drain the queue while waiting for
-//! its job, so a job always completes even with zero background workers
-//! (single-core hosts) and nested `par_map` calls cannot deadlock.
+//! Each job (`f` over `0..n`) is pushed to one global FIFO queue; worker
+//! threads take the oldest job that still has unclaimed indices and claim
+//! its indices one at a time. The *caller* works its own job first and
+//! then helps with queued jobs while it waits, so a job always completes
+//! even with zero background workers (single-core hosts) and nested
+//! `par_map` calls cannot deadlock.
 //!
 //! # Telemetry
 //!
-//! The pool reports `exec.workers` / `exec.queue_depth` gauges, an
-//! `exec.task_ms` latency histogram, and `exec.jobs` / `exec.tasks` /
-//! `exec.task_panics` counters. Each job captures the submitting thread's
-//! open span path (`mmwave_telemetry::current_path`) and every task
-//! replays it on its executing thread (`enter_context`), so spans opened
-//! inside a task nest under the same `/`-joined path they would in a
-//! serial run — span profiles and trace timelines are worker-count-stable
-//! in structure.
+//! The pool reports `exec.workers` / `exec.queue_depth` (queued jobs)
+//! gauges, an `exec.task_ms` latency histogram, and `exec.jobs` /
+//! `exec.tasks` / `exec.task_panics` counters. Each job captures the
+//! submitting thread's open span path (`mmwave_telemetry::current_path`)
+//! and every thread running its tasks replays it (`enter_context`), so
+//! spans opened inside a task nest under the same `/`-joined path they
+//! would in a serial run — span profiles and trace timelines are
+//! worker-count-stable in structure.
 
 mod pool;
 
@@ -63,8 +64,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The smallest panicking input index and its original payload.
 pub(crate) type FirstPanic = (usize, Box<dyn Any + Send>);
 
-/// Hard upper bound on the worker count; protects against pathological
-/// `MMWAVE_WORKERS` values.
+/// Hard upper bound on the worker count: [`parse_workers`] refuses
+/// larger `MMWAVE_WORKERS` / `--workers` values.
 pub const MAX_WORKERS: usize = 256;
 
 /// Env var controlling the default worker count.
@@ -129,20 +130,26 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default worker count: `MMWAVE_WORKERS` (capped at [`MAX_WORKERS`]),
-/// else the host's available parallelism. Read once per process; a junk
-/// value bumps `exec.config_invalid` and keeps the host default.
+/// Parses a worker count: a positive integer no larger than
+/// [`MAX_WORKERS`], allowing surrounding whitespace.
+pub fn parse_workers(raw: &str) -> Option<usize> {
+    mmwave_telemetry::knob::parse_positive(raw).filter(|&n| n <= MAX_WORKERS)
+}
+
+/// Default worker count: `MMWAVE_WORKERS`, else the host's available
+/// parallelism (at most [`MAX_WORKERS`]). Read once per process; a value
+/// [`parse_workers`] refuses bumps `exec.config_invalid` and keeps the
+/// host default.
 fn default_workers() -> usize {
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let n = mmwave_telemetry::env_knob(
+        mmwave_telemetry::env_knob(
             WORKERS_ENV,
             "exec.config_invalid",
-            host,
-            mmwave_telemetry::knob::parse_positive,
-        );
-        n.min(MAX_WORKERS)
+            host.min(MAX_WORKERS),
+            parse_workers,
+        )
     })
 }
 
@@ -163,7 +170,7 @@ pub fn workers() -> usize {
 }
 
 /// Sets the process-wide worker count (the CLI `--workers` flag lands
-/// here). Values are clamped to `1..=MAX_WORKERS`.
+/// here after [`parse_workers`]). Values are clamped to `1..=MAX_WORKERS`.
 pub fn configure_workers(n: usize) {
     CONFIGURED.store(n.clamp(1, MAX_WORKERS), Ordering::Relaxed);
 }
@@ -432,6 +439,56 @@ mod tests {
             }
         }
         drop(outer);
+    }
+
+    #[test]
+    fn concurrent_submitters_with_nested_and_panicking_jobs() {
+        // Four submitters share the pool, so callers and workers help with
+        // other submitters' jobs, whose indices submit nested jobs. The
+        // barrier starts their rounds together.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let submitters: Vec<_> = (0..4usize)
+            .map(|t| {
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for round in 0..25 {
+                        let value = |i: usize, j: usize| t * 10_000 + round * 1000 + i * 8 + j;
+                        let bad = (round % 5 == 3).then_some((t + round) % 16);
+                        let out = with_workers(4, || {
+                            try_par_map_range(16, |i| {
+                                let inner = par_map_range(8, |j| {
+                                    assert!(bad != Some(i) || j < 5, "inner {i}/{j}");
+                                    value(i, j)
+                                });
+                                inner.iter().sum::<usize>()
+                            })
+                        });
+                        let expected = match bad {
+                            Some(index) => {
+                                let message = format!("inner {index}/5");
+                                Err(ExecError::TaskPanicked { index, message })
+                            }
+                            None => Ok((0..16).map(|i| (0..8).map(|j| value(i, j)).sum()).collect()),
+                        };
+                        assert_eq!(out, expected);
+                    }
+                })
+            })
+            .collect();
+        for submitter in submitters {
+            submitter.join().expect("a submitter thread panicked");
+        }
+    }
+
+    #[test]
+    fn parse_workers_accepts_one_through_max_and_nothing_else() {
+        assert_eq!(parse_workers("1"), Some(1));
+        assert_eq!(parse_workers(" 4 "), Some(4));
+        assert_eq!(parse_workers("256"), Some(MAX_WORKERS));
+        for junk in ["257", "100000", "0", "-1", "", "four", "2.5"] {
+            assert_eq!(parse_workers(junk), None, "{junk:?}");
+        }
     }
 
     #[test]

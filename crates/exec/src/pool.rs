@@ -1,131 +1,93 @@
-//! The global work-stealing pool behind the `par_*` primitives.
+//! The global job queue behind the `par_*` primitives.
 //!
-//! One process-wide [`Injector`] feeds lazily-spawned worker threads, each
-//! owning a FIFO local deque; idle workers pull batches from the injector
-//! or steal from each other. The thread submitting a job *helps drain the
-//! queue* while it waits, which gives three properties for free:
-//!
-//! * jobs complete even with zero background workers (1-core hosts),
-//! * nested jobs cannot deadlock (the inner caller keeps executing
-//!   tasks instead of blocking a worker slot),
-//! * the caller's stack frame outlives every task of its job, which is
-//!   the lifetime guarantee the scoped pointer-passing below relies on.
+//! One process-wide FIFO of jobs feeds lazily-spawned worker threads. A
+//! job is `n` indices that threads claim one at a time through an atomic
+//! cursor. The thread submitting a job works its own job first and then
+//! *helps* with queued jobs while it waits, so jobs complete even with zero
+//! background workers (1-core hosts) and nested jobs cannot deadlock.
 //!
 //! # Safety model
 //!
-//! A [`Task`] is a monomorphized `unsafe fn` pointer plus four plain
-//! `usize` payload words — addresses of the item closure, the result
-//! slots, and the job header on the submitting caller's stack, and the
-//! task's input index. The type is trivially `Send + 'static` (it carries
-//! no lifetimes), so it can cross into long-lived worker threads;
-//! soundness comes from [`run_job`] not returning until the job's
-//! `remaining` counter hits zero (`Release` decrement per task, `Acquire`
-//! load by the caller), so no task can touch those addresses after the
-//! caller's frame unwinds. The `F: Sync` / `R: Send` bounds on the public
-//! API make the cross-thread sharing itself legal.
+//! A [`Job`] carries one lifetime-erased pointer to a closure on the
+//! submitting [`run_job`] frame. A thread calls it only for an index below
+//! `n` that it has claimed, and `run_job` returns only once `done == n`
+//! (`Release` increment per index, `Acquire` load by the caller), so the
+//! closure is live for every call. After that the job may linger in the
+//! queue, but its cursor is past `n`, so the pointer is never called
+//! again. The `F: Sync` / `R: Send` bounds on the public API make the
+//! cross-thread sharing itself legal.
 
 use crate::FirstPanic;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use parking_lot::{Condvar, Mutex, RwLock};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-/// One unit of work: `run` is `run_task::<R, F>` monomorphized at the
-/// submitting call site, the payload words are caller-stack addresses
-/// valid until the job's `remaining` counter reaches zero.
-struct Task {
-    run: unsafe fn(usize, usize, usize, usize),
-    f_addr: usize,
-    slots_addr: usize,
-    header_addr: usize,
-    index: usize,
-}
-
-impl Task {
-    fn execute(self) {
-        // SAFETY: the submitting `run_job` frame is still blocked waiting
-        // for this task's sign-off, so every address is live (see the
-        // module-level safety model).
-        unsafe { (self.run)(self.f_addr, self.slots_addr, self.header_addr, self.index) }
-    }
-}
-
-struct Pool {
-    injector: Injector<Task>,
-    stealers: RwLock<Vec<Stealer<Task>>>,
-    /// Count of spawned background threads; the Mutex also serializes
-    /// spawning.
-    spawned: Mutex<usize>,
-    sleep_lock: Mutex<()>,
-    sleep_cv: Condvar,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        injector: Injector::new(),
-        stealers: RwLock::new(Vec::new()),
-        spawned: Mutex::new(0),
-        sleep_lock: Mutex::new(()),
-        sleep_cv: Condvar::new(),
-    })
-}
-
-/// Shared per-job state living on the caller's stack.
-struct JobHeader {
-    remaining: AtomicUsize,
-    /// First-by-index panic payload; later-index panics are discarded so
-    /// the reported failure matches what a serial loop would hit first.
-    panic: Mutex<Option<FirstPanic>>,
+/// One submitted `f(0..n)`.
+struct Job {
+    n: usize,
+    /// The next unclaimed index; may run past `n` once exhausted. Its
+    /// accesses are `Relaxed`: a claim publishes no data.
+    next: AtomicUsize,
+    /// Indices that have finished (result or panic recorded).
+    done: AtomicUsize,
     /// The submitting thread's open span path, replayed onto whichever
-    /// thread executes each task so spans opened inside the closure nest
-    /// exactly as they would in a serial run — the profile tree and trace
-    /// span paths come out identical at any worker count.
+    /// thread runs the job's indices so spans opened inside the closure
+    /// nest exactly as they would in a serial run — the profile tree and
+    /// trace span paths come out identical at any worker count.
     span_ctx: Option<String>,
+    /// The `run_job` closure for one index, its lifetime erased.
+    run: *const (dyn Fn(usize) + Sync),
 }
 
-/// Executes task `index` of a job: calls the item closure under
-/// `catch_unwind`, stores the result (or panic) in the caller's slots,
-/// and signs off on the `remaining` counter.
-///
-/// # Safety
-///
-/// `f_addr` must point to a live `F`, `slots_addr` to a live
-/// `[Mutex<Option<R>>]` of length > `index`, and `header_addr` to a live
-/// [`JobHeader`], all owned by a `run_job` frame that waits for this
-/// task's `remaining` decrement before returning.
-unsafe fn run_task<R, F>(f_addr: usize, slots_addr: usize, header_addr: usize, index: usize)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let f = &*(f_addr as *const F);
-    let header = &*(header_addr as *const JobHeader);
-    let started = Instant::now();
-    // Adopt the submitting thread's span context for the duration of the
-    // task (the guard restores the previous stack even on panic). On the
-    // caller helping drain its own job this is a no-op swap; on a worker
-    // it makes nested spans record under the caller's path.
-    let ctx = mmwave_telemetry::enter_context(header.span_ctx.as_deref());
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index)));
-    drop(ctx);
-    mmwave_telemetry::observe("exec.task_ms", started.elapsed().as_secs_f64() * 1e3);
-    match outcome {
-        Ok(result) => {
-            let slot = &*(slots_addr as *const Mutex<Option<R>>).add(index);
-            *slot.lock() = Some(result);
-        }
-        Err(payload) => {
-            mmwave_telemetry::counter("exec.task_panics", 1);
-            let mut first = header.panic.lock();
-            match &*first {
-                Some((seen, _)) if *seen <= index => {}
-                _ => *first = Some((index, payload)),
+// SAFETY: `run` points to a `Sync` closure, so calling it from any thread
+// is sound while it lives; it is called only under the claim protocol of
+// the module-level safety model and never dropped through this pointer.
+// `n`, `next`, `done` and `span_ctx` are `Send + Sync` themselves.
+unsafe impl Send for Job {}
+unsafe impl Sync for Job {}
+
+impl Job {
+    /// Claims and runs indices until the cursor passes `n`.
+    fn work(&self) {
+        let _ctx = mmwave_telemetry::enter_context(self.span_ctx.as_deref());
+        loop {
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.n {
+                return;
             }
+            // SAFETY: this thread claimed `index < n`, so `done` cannot
+            // reach `n` before the call returns and the submitting
+            // `run_job` frame, which owns the closure, is still waiting.
+            unsafe { (*self.run)(index) };
+            self.done.fetch_add(1, Ordering::Release);
         }
     }
-    header.remaining.fetch_sub(1, Ordering::Release);
+}
+
+/// Queued jobs, oldest first; workers wait on [`READY`] while it is empty.
+static QUEUE: Mutex<VecDeque<Arc<Job>>> = Mutex::new(VecDeque::new());
+static READY: Condvar = Condvar::new();
+/// Count of spawned background threads; the Mutex also serializes spawning.
+static SPAWNED: Mutex<usize> = Mutex::new(0);
+
+/// Locks `mutex`, ignoring poison: no pool lock is held across user code,
+/// and a panicking task is caught before it reaches a result slot.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The oldest queued job with unclaimed indices, dropping exhausted jobs
+/// from the front of the queue.
+fn oldest_open(queue: &mut VecDeque<Arc<Job>>) -> Option<Arc<Job>> {
+    while let Some(job) = queue.front() {
+        if job.next.load(Ordering::Relaxed) < job.n {
+            return Some(Arc::clone(job));
+        }
+        queue.pop_front();
+    }
+    None
 }
 
 /// Runs `f(0..n)` on the global pool with `target_workers` total workers
@@ -137,143 +99,102 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let pool = pool();
-    ensure_workers(pool, target_workers.saturating_sub(1));
+    ensure_workers(target_workers.saturating_sub(1));
 
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let header = JobHeader {
-        remaining: AtomicUsize::new(n),
-        panic: Mutex::new(None),
-        span_ctx: mmwave_telemetry::current_path(),
+    // First-by-index panic payload; later-index panics are discarded so
+    // the reported failure matches what a serial loop would hit first.
+    let first_panic: Mutex<Option<FirstPanic>> = Mutex::new(None);
+    let run_index = |index: usize| {
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(index)));
+        mmwave_telemetry::observe("exec.task_ms", started.elapsed().as_secs_f64() * 1e3);
+        match outcome {
+            Ok(result) => *lock(&slots[index]) = Some(result),
+            Err(payload) => {
+                mmwave_telemetry::counter("exec.task_panics", 1);
+                let mut first = lock(&first_panic);
+                match &*first {
+                    Some((seen, _)) if *seen <= index => {}
+                    _ => *first = Some((index, payload)),
+                }
+            }
+        }
     };
+    let run_index: &(dyn Fn(usize) + Sync) = &run_index;
+    // SAFETY: only the lifetime changes; this frame does not return until
+    // every index has run (see the module-level safety model).
+    let run: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run_index) };
+    let job = Arc::new(Job {
+        n,
+        next: AtomicUsize::new(0),
+        done: AtomicUsize::new(0),
+        span_ctx: mmwave_telemetry::current_path(),
+        run,
+    });
 
-    let f_addr = f as *const F as usize;
-    let slots_addr = slots.as_ptr() as usize;
-    let header_addr = &header as *const JobHeader as usize;
-    for index in 0..n {
-        pool.injector.push(Task {
-            run: run_task::<R, F>,
-            f_addr,
-            slots_addr,
-            header_addr,
-            index,
-        });
-    }
     mmwave_telemetry::counter("exec.jobs", 1);
     mmwave_telemetry::counter("exec.tasks", n as u64);
-    mmwave_telemetry::gauge("exec.queue_depth", pool.injector.len() as f64);
-    // Taking the sleep lock orders this notify after any in-flight
-    // emptiness check, so no worker can check, miss the new batch, and
-    // then sleep through the wakeup.
     {
-        let _guard = pool.sleep_lock.lock();
-        pool.sleep_cv.notify_all();
+        let mut queue = lock(&QUEUE);
+        queue.push_back(Arc::clone(&job));
+        mmwave_telemetry::gauge("exec.queue_depth", queue.len() as f64);
     }
+    READY.notify_all();
 
-    // Help drain the queue until every task of this job (plus any tasks
-    // of other jobs we pick up along the way) has signed off.
-    while header.remaining.load(Ordering::Acquire) > 0 {
-        match steal_any(pool) {
-            Some(task) => task.execute(),
+    // Work this job first, then help with the oldest queued job until every
+    // index of this one has finished. The queue lock is a temporary of the
+    // `let` statement, so it is released before the helped job runs: a
+    // held lock would deadlock any nested job it submits.
+    job.work();
+    while job.done.load(Ordering::Acquire) < n {
+        let other = oldest_open(&mut lock(&QUEUE));
+        match other {
+            Some(other) => other.work(),
             None => std::thread::yield_now(),
         }
     }
 
-    if let Some(first) = header.panic.into_inner() {
+    if let Some(first) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(first);
     }
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        out.push(slot.into_inner().expect("task signed off without storing a result"));
-    }
-    Ok(out)
-}
-
-/// Grabs one task from the injector or any worker's local deque; used by
-/// callers helping out (they have no local deque of their own).
-fn steal_any(pool: &Pool) -> Option<Task> {
-    loop {
-        match pool.injector.steal() {
-            Steal::Success(task) => return Some(task),
-            Steal::Empty => break,
-            Steal::Retry => {}
-        }
-    }
-    for stealer in pool.stealers.read().iter() {
-        loop {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Empty => break,
-                Steal::Retry => {}
-            }
-        }
-    }
-    None
+    let results = slots.into_iter().map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner));
+    Ok(results.map(|r| r.expect("index finished without storing a result")).collect())
 }
 
 /// Lazily grows the background thread set to `target` threads. Threads
-/// are detached and live for the process; an idle worker parks on the
+/// are detached and live for the process; an idle worker waits on the
 /// condvar and costs nothing.
-fn ensure_workers(pool: &'static Pool, target: usize) {
-    let mut spawned = pool.spawned.lock();
+fn ensure_workers(target: usize) {
+    let mut spawned = lock(&SPAWNED);
     if *spawned >= target {
         return;
     }
     while *spawned < target {
         let index = *spawned;
-        let local: Worker<Task> = Worker::new_fifo();
-        pool.stealers.write().push(local.stealer());
         std::thread::Builder::new()
             .name(format!("mmwave-exec-{index}"))
-            .spawn(move || worker_loop(pool, local, index))
+            .spawn(move || worker_loop(index))
             .expect("spawning an mmwave-exec worker thread failed");
         *spawned += 1;
     }
     mmwave_telemetry::gauge("exec.workers", (*spawned + 1) as f64);
 }
 
-fn worker_loop(pool: &'static Pool, local: Worker<Task>, index: usize) {
+fn worker_loop(index: usize) {
     mmwave_telemetry::debug!("mmwave-exec worker {index} online");
     loop {
-        if let Some(task) = find_task(pool, &local, index) {
-            task.execute();
-            continue;
-        }
-        let mut guard = pool.sleep_lock.lock();
-        // Re-check under the lock: submitters notify while holding it, so
-        // either the queue is visibly non-empty here or the upcoming wait
-        // will be woken. The timeout is belt-and-braces — the caller
-        // helps drain regardless, so a missed wakeup costs latency only.
-        if pool.injector.is_empty() {
-            let _ = pool.sleep_cv.wait_for(&mut guard, Duration::from_millis(50));
-        }
-    }
-}
-
-/// Worker-side task discovery: local deque first, then batches from the
-/// injector, then stealing from sibling workers.
-fn find_task(pool: &Pool, local: &Worker<Task>, index: usize) -> Option<Task> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    loop {
-        match pool.injector.steal_batch_and_pop(local) {
-            Steal::Success(task) => return Some(task),
-            Steal::Empty => break,
-            Steal::Retry => {}
-        }
-    }
-    for (si, stealer) in pool.stealers.read().iter().enumerate() {
-        if si == index {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Empty => break,
-                Steal::Retry => {}
+        let job = {
+            let mut queue = lock(&QUEUE);
+            loop {
+                if let Some(job) = oldest_open(&mut queue) {
+                    break job;
+                }
+                // Submitters push under this lock, so an empty queue seen
+                // here cannot miss the wakeup for a later push.
+                queue = READY.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
-        }
+        };
+        job.work();
     }
-    None
 }

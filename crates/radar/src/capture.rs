@@ -19,11 +19,10 @@ use mmwave_dsp::heatmap::HeatmapKind;
 use mmwave_dsp::processing::{ProcessingConfig, Processor};
 use mmwave_dsp::{repair_dropped_frames, Complex32, Heatmap, HeatmapSeq};
 use mmwave_geom::visibility::{self, OcclusionConfig};
-use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cached per-environment state: the static-clutter IF chirp (replayed
 /// onto every frame) and the calibrated background range profile the DRAI
@@ -132,6 +131,12 @@ pub struct Capturer {
     synth: IfSynthesizer,
     processor: Processor,
     env_cache: Mutex<HashMap<String, Arc<EnvCache>>>,
+}
+
+/// Locks `mutex` whether or not an earlier holder panicked: a cache entry
+/// is inserted whole, so a poisoned cache is still consistent.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Capturer {
@@ -420,7 +425,7 @@ impl Capturer {
     /// The static clutter and background profile of `env`, synthesized on
     /// first use and shared afterwards (keyed by environment name).
     pub fn environment_cache(&self, env: &Environment) -> Arc<EnvCache> {
-        let mut cache = self.env_cache.lock();
+        let mut cache = lock(&self.env_cache);
         if let Some(cached) = cache.get(env.name()) {
             return Arc::clone(cached);
         }
@@ -590,9 +595,9 @@ mod tests {
         let (capturer, seq) = short_capture_setup();
         let env = Environment::hallway();
         let _ = capturer.capture(&seq, Placement::new(1.2, 0.0), &env, None, 1);
-        let cached = capturer.env_cache.lock().len();
+        let cached = lock(&capturer.env_cache).len();
         let _ = capturer.capture(&seq, Placement::new(1.6, 0.0), &env, None, 2);
-        assert_eq!(capturer.env_cache.lock().len(), cached, "no duplicate cache entries");
+        assert_eq!(lock(&capturer.env_cache).len(), cached, "no duplicate cache entries");
     }
 
     #[test]

@@ -68,6 +68,14 @@ pub use sink::{read_jsonl_events, JsonlSink, Sink, StderrSink};
 pub use span::{current_path, enter_context, span, span_at, ContextGuard, SpanGuard};
 pub use trace::{read_trace_file, TraceSink};
 
+/// Takes a lock whether or not an earlier holder panicked. Each update
+/// under a telemetry lock is one map, histogram or line write that leaves
+/// the data valid, and a panic in one recording thread must not silence
+/// telemetry for the rest of the process.
+fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The merged span call tree (inclusive / exclusive time, call counts,
 /// quantiles) aggregated from everything recorded so far.
 pub fn profile() -> Profile {

@@ -6,7 +6,8 @@ use crate::histogram::{HistogramSnapshot, LogLinearHistogram};
 use crate::profile::Profile;
 use crate::sink::{JsonlSink, Sink, StderrSink};
 use crate::trace::TraceSink;
-use parking_lot::{Mutex, RwLock};
+use crate::unpoisoned;
+use std::sync::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::PathBuf;
@@ -43,7 +44,7 @@ impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
             .field("enabled", &self.is_enabled())
-            .field("sinks", &self.sinks.read().len())
+            .field("sinks", &unpoisoned(self.sinks.read()).len())
             .finish()
     }
 }
@@ -82,7 +83,7 @@ impl Registry {
 
     /// Installs a sink.
     pub fn add_sink(&self, sink: Box<dyn Sink>) {
-        let mut sinks = self.sinks.write();
+        let mut sinks = unpoisoned(self.sinks.write());
         sinks.push(Arc::from(sink));
         let max = sinks.iter().map(|s| s.verbosity() as u8).max().unwrap_or(NO_SINKS);
         self.max_verbosity.store(max, Ordering::Relaxed);
@@ -93,7 +94,7 @@ impl Registry {
     /// emits telemetry (a failed trace write, say) cannot deadlock.
     pub fn clear_sinks(&self) {
         let drained: Vec<Arc<dyn Sink>> = {
-            let mut sinks = self.sinks.write();
+            let mut sinks = unpoisoned(self.sinks.write());
             self.max_verbosity.store(NO_SINKS, Ordering::Relaxed);
             std::mem::take(&mut *sinks)
         };
@@ -143,7 +144,7 @@ impl Registry {
             return;
         }
         let value = {
-            let mut counters = self.counters.lock();
+            let mut counters = unpoisoned(self.counters.lock());
             match counters.get_mut(name) {
                 Some(v) => {
                     *v += delta;
@@ -169,7 +170,7 @@ impl Registry {
         if !self.is_enabled() {
             return;
         }
-        self.gauges.lock().insert(name.to_string(), (value, unix_millis()));
+        unpoisoned(self.gauges.lock()).insert(name.to_string(), (value, unix_millis()));
         if self.would_emit(Level::Trace) {
             let mut fields = serde_json::Map::new();
             fields.insert("value".to_string(), serde_json::Value::from(value));
@@ -182,7 +183,7 @@ impl Registry {
         if !self.is_enabled() {
             return;
         }
-        let mut hists = self.histograms.lock();
+        let mut hists = unpoisoned(self.histograms.lock());
         match hists.get_mut(name) {
             Some(h) => h.record(value),
             None => {
@@ -199,7 +200,7 @@ impl Registry {
         if !self.is_enabled() {
             return;
         }
-        let mut spans = self.spans.lock();
+        let mut spans = unpoisoned(self.spans.lock());
         match spans.get_mut(path) {
             Some(h) => h.record(seconds),
             None => {
@@ -222,7 +223,7 @@ impl Registry {
             return;
         }
         let event = Event::now(level, kind, name, fields);
-        for sink in self.sinks.read().iter() {
+        for sink in unpoisoned(self.sinks.read()).iter() {
             if level <= sink.verbosity() {
                 sink.record(&event);
             }
@@ -233,7 +234,7 @@ impl Registry {
     /// before any `flush` runs, so sinks are free to emit telemetry from
     /// their flush paths.
     pub fn flush(&self) {
-        let sinks: Vec<Arc<dyn Sink>> = self.sinks.read().clone();
+        let sinks: Vec<Arc<dyn Sink>> = unpoisoned(self.sinks.read()).clone();
         for sink in &sinks {
             sink.flush();
         }
@@ -241,12 +242,12 @@ impl Registry {
 
     /// Counter value (0 when never incremented).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
+        unpoisoned(self.counters.lock()).get(name).copied().unwrap_or(0)
     }
 
     /// Gauge value, if ever set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.lock().get(name).map(|(v, _)| *v)
+        unpoisoned(self.gauges.lock()).get(name).map(|(v, _)| *v)
     }
 
     /// Full-fidelity export of every counter, gauge, histogram, and span
@@ -254,36 +255,38 @@ impl Registry {
     /// travel in lossless bucket form so they can be merged exactly.
     pub fn export_metrics(&self) -> MetricsExport {
         MetricsExport {
-            counters: self.counters.lock().iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: self
-                .gauges
-                .lock()
+            counters: unpoisoned(self.counters.lock())
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            gauges: unpoisoned(self.gauges.lock())
                 .iter()
                 .map(|(k, &(value, ts_ms))| (k.clone(), GaugeSample { value, ts_ms }))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
+            histograms: unpoisoned(self.histograms.lock())
                 .iter()
                 .map(|(k, h)| (k.clone(), h.export()))
                 .collect(),
-            spans: self.spans.lock().iter().map(|(k, h)| (k.clone(), h.export())).collect(),
+            spans: unpoisoned(self.spans.lock())
+                .iter()
+                .map(|(k, h)| (k.clone(), h.export()))
+                .collect(),
         }
     }
 
     /// Snapshot of one span path's timing histogram (seconds), if recorded.
     pub fn span_snapshot(&self, path: &str) -> Option<HistogramSnapshot> {
-        self.spans.lock().get(path).map(LogLinearHistogram::snapshot)
+        unpoisoned(self.spans.lock()).get(path).map(LogLinearHistogram::snapshot)
     }
 
     /// Snapshot of one metric histogram, if recorded.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.histograms.lock().get(name).map(LogLinearHistogram::snapshot)
+        unpoisoned(self.histograms.lock()).get(name).map(LogLinearHistogram::snapshot)
     }
 
     /// All recorded span paths.
     pub fn span_paths(&self) -> Vec<String> {
-        let mut paths: Vec<String> = self.spans.lock().keys().cloned().collect();
+        let mut paths: Vec<String> = unpoisoned(self.spans.lock()).keys().cloned().collect();
         paths.sort();
         paths
     }
@@ -294,9 +297,7 @@ impl Registry {
     /// `mmwave-exec` pool propagates span context onto its workers); only
     /// the times vary run to run.
     pub fn profile(&self) -> Profile {
-        let spans: BTreeMap<String, HistogramSnapshot> = self
-            .spans
-            .lock()
+        let spans: BTreeMap<String, HistogramSnapshot> = unpoisoned(self.spans.lock())
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
@@ -308,18 +309,14 @@ impl Registry {
     /// and the merged [`Registry::profile`] call tree.
     pub fn snapshot(&self) -> serde_json::Value {
         let counters: BTreeMap<String, u64> =
-            self.counters.lock().iter().map(|(k, v)| (k.clone(), *v)).collect();
+            unpoisoned(self.counters.lock()).iter().map(|(k, v)| (k.clone(), *v)).collect();
         let gauges: BTreeMap<String, f64> =
-            self.gauges.lock().iter().map(|(k, &(v, _))| (k.clone(), v)).collect();
-        let histograms: BTreeMap<String, HistogramSnapshot> = self
-            .histograms
-            .lock()
+            unpoisoned(self.gauges.lock()).iter().map(|(k, &(v, _))| (k.clone(), v)).collect();
+        let histograms: BTreeMap<String, HistogramSnapshot> = unpoisoned(self.histograms.lock())
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
-        let spans: BTreeMap<String, serde_json::Value> = self
-            .spans
-            .lock()
+        let spans: BTreeMap<String, serde_json::Value> = unpoisoned(self.spans.lock())
             .iter()
             .map(|(k, h)| {
                 let s = h.snapshot();
@@ -353,9 +350,7 @@ impl Registry {
     /// spans). Counters are appended below the table.
     pub fn summary_table(&self) -> String {
         use std::fmt::Write as _;
-        let mut rows: Vec<(String, HistogramSnapshot)> = self
-            .spans
-            .lock()
+        let mut rows: Vec<(String, HistogramSnapshot)> = unpoisoned(self.spans.lock())
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
@@ -383,7 +378,7 @@ impl Registry {
             );
         }
         let counters: BTreeMap<String, u64> =
-            self.counters.lock().iter().map(|(k, v)| (k.clone(), *v)).collect();
+            unpoisoned(self.counters.lock()).iter().map(|(k, v)| (k.clone(), *v)).collect();
         if !counters.is_empty() {
             let _ = writeln!(out, "{:<44} {:>8}", "counter", "value");
             for (name, value) in &counters {

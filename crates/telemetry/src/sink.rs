@@ -2,7 +2,8 @@
 //! JSON-lines files.
 
 use crate::event::{Event, Level};
-use parking_lot::Mutex;
+use crate::unpoisoned;
+use std::sync::Mutex;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -142,13 +143,13 @@ impl Sink for JsonlSink {
             return;
         };
         let crc = crc32(line.as_bytes());
-        let mut w = self.writer.lock();
+        let mut w = unpoisoned(self.writer.lock());
         let _ = writeln!(w, "{crc:08x} {line}");
         let _ = w.flush();
     }
 
     fn flush(&self) {
-        let _ = self.writer.lock().flush();
+        let _ = unpoisoned(self.writer.lock()).flush();
     }
 }
 
@@ -157,7 +158,7 @@ impl Drop for JsonlSink {
     /// `finish()`, but a sink dropped outside that lifecycle (tests,
     /// ad-hoc tooling) must still leave complete lines behind.
     fn drop(&mut self) {
-        let _ = self.writer.lock().flush();
+        let _ = unpoisoned(self.writer.lock()).flush();
     }
 }
 

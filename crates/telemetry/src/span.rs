@@ -4,8 +4,8 @@
 //! a stack of open span names, and a span opened while another is active is
 //! recorded under the `/`-joined path of its ancestors — `"capture"` opened
 //! around `"drai"` yields the path `"capture/drai"`. The stack is
-//! thread-local, so parallel workers (e.g. crossbeam dataset generation)
-//! each attribute their spans independently — but a runtime that moves work
+//! thread-local, so parallel workers (e.g. `mmwave-exec` dataset
+//! generation) each attribute their spans independently — but a runtime that moves work
 //! *between* threads can carry the submitting thread's path along with the
 //! task via [`current_path`] / [`enter_context`], so a span opened inside a
 //! pool task nests under the same path it would have in a serial run. The

@@ -29,7 +29,8 @@
 
 use crate::event::{process_micros, thread_id, Event, EventKind, Level};
 use crate::sink::Sink;
-use parking_lot::Mutex;
+use crate::unpoisoned;
+use std::sync::Mutex;
 use std::collections::HashSet;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -149,7 +150,7 @@ impl Sink for TraceSink {
 
     fn record(&self, event: &Event) {
         let pid = std::process::id();
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         match event.kind {
             EventKind::Span => {
                 // Emitted at span close; start/duration/tid ride in the
@@ -225,7 +226,7 @@ impl Sink for TraceSink {
         // the failure path below emits telemetry, which must be able to
         // re-enter this sink's `record` without deadlocking.
         let (bytes, dropped) = {
-            let state = self.state.lock();
+            let state = unpoisoned(self.state.lock());
             let mut buf = Vec::with_capacity(2 + 64 * state.entries.len());
             buf.push(b'[');
             for (i, entry) in state.entries.iter().enumerate() {

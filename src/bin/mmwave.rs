@@ -26,6 +26,7 @@ use mmwave_har_backdoor::har::{CnnLstm, PrototypeConfig, Trainer, TrainerConfig}
 use mmwave_har_backdoor::radar::capture::{CaptureConfig, Capturer, TriggerPlan};
 use mmwave_har_backdoor::radar::trigger::{Trigger, TriggerAttachment};
 use mmwave_har_backdoor::radar::{Environment, Placement};
+use mmwave_har_backdoor::exec;
 use mmwave_har_backdoor::serve;
 use mmwave_har_backdoor::telemetry;
 use mmwave_har_backdoor::telemetry::knob::{parse_count, parse_positive, parse_positive_f64};
@@ -428,11 +429,12 @@ fn configure(args: &Args) -> Result<(), String> {
             *out = Some(path).filter(|p| !p.is_empty()).map(PathBuf::from);
         }
     }
-    let workers = args.get("workers", "a positive integer", parse_positive)?;
+    let want = format!("an integer from 1 to {}", exec::MAX_WORKERS);
+    let workers = args.get("workers", &want, exec::parse_workers)?;
     telemetry::configure(&config)
         .map_err(|e| format!("cannot open the metrics or trace file: {e}"))?;
     if let Some(n) = workers {
-        mmwave_har_backdoor::exec::configure_workers(n);
+        exec::configure_workers(n);
     }
     Ok(())
 }

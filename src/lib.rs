@@ -20,7 +20,7 @@
 //! | [`backdoor`] | `mmwave-backdoor` | the attack (frames, position, poison, metrics) |
 //! | [`defense`] | `mmwave-defense` | trigger detection + augmentation |
 //! | [`telemetry`] | `mmwave-telemetry` | spans, metrics, traces, profiles, run events |
-//! | [`exec`] | `mmwave-exec` | deterministic work-stealing parallel runtime |
+//! | [`exec`] | `mmwave-exec` | deterministic parallel runtime on one std job queue |
 //! | [`store`] | `mmwave-store` | atomic checksummed artifact I/O, quarantine, crash points |
 //! | [`serve`] | `mmwave-serve` | streaming inference service + load generator |
 //! | [`monitor`] | `mmwave-monitor` | model-health drift scores + backdoor-activation alarms |

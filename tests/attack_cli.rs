@@ -164,6 +164,7 @@ fn misspelled_junk_and_no_op_flags_are_refused_by_every_command() {
         (&["capture", "--distanc", "3"][..], "--distanc"),
         (&["capture", "--angle", "abc"][..], "--angle"),
         (&["campaign-status", d, "--tll", "5"][..], "--tll"),
+        (&["campaign-status", d, "--workers", "257"][..], "--workers"),
         (&["worker", "--dir", d, "--ttl", "abc"][..], "--ttl"),
         (&["top", d, "--jsn", "--once"][..], "--jsn"),
         (&["profile", "--poison-frac", "0.3"][..], "--poison-frac"),
