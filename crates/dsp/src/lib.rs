@@ -40,7 +40,6 @@
 //! }
 //! ```
 
-pub mod cfar;
 pub mod complex;
 pub mod fft;
 pub mod frame;
@@ -48,7 +47,6 @@ pub mod heatmap;
 #[cfg(test)]
 mod oracle;
 pub mod processing;
-pub mod spectrogram;
 pub mod window;
 
 pub use complex::Complex32;

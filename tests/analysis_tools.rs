@@ -1,51 +1,7 @@
-//! Integration of the analysis tools (CFAR, spectrograms, activation
-//! clustering, persistence) with the capture pipeline.
+//! A trained model's persistence round trip.
 
-use mmwave_har_backdoor::body::{
-    Activity, ActivitySampler, Participant, SampleVariation, SiteId,
-};
-use mmwave_har_backdoor::dsp::cfar::{ca_cfar, CfarConfig};
 use mmwave_har_backdoor::har::{CnnLstm, PrototypeConfig};
 use mmwave_har_backdoor::nn::persist::{load_json, save_json};
-use mmwave_har_backdoor::radar::capture::{CaptureConfig, Capturer, TriggerPlan};
-use mmwave_har_backdoor::radar::trigger::{Trigger, TriggerAttachment};
-use mmwave_har_backdoor::radar::{Environment, Placement};
-
-#[test]
-fn cfar_lights_up_more_cells_when_a_trigger_is_worn() {
-    // CFAR operates on raw power maps: log compression (meant for the
-    // classifier) flattens the cell-to-noise ratios it thresholds.
-    let mut cfg = CaptureConfig::fast();
-    cfg.log_compress = false;
-    cfg.normalize = mmwave_har_backdoor::radar::capture::Normalization::None;
-    let capturer = Capturer::new(cfg);
-    let sampler = ActivitySampler::new(Participant::average(), 12, 10.0);
-    let seq = sampler.sample(Activity::Push, &SampleVariation::nominal());
-    let plan = TriggerPlan {
-        attachment: TriggerAttachment::new(Trigger::aluminum_2x2()),
-        site: SiteId::Chest,
-    };
-    let out = capturer.capture(
-        &seq,
-        Placement::new(1.2, 0.0),
-        &Environment::classroom(),
-        Some(&plan),
-        5,
-    );
-    let trig = out.triggered.expect("trigger requested");
-    let cfg = CfarConfig { guard: 1, train: 2, threshold: 2.5 };
-    // Compare total detections over the sequence: the trigger adds a
-    // bright, compact return that CFAR flags.
-    let count = |seq: &mmwave_har_backdoor::dsp::HeatmapSeq| -> usize {
-        seq.frames().iter().map(|f| ca_cfar(f, &cfg).len()).sum()
-    };
-    let clean_count = count(&out.clean);
-    let trig_count = count(&trig);
-    assert!(
-        trig_count > clean_count,
-        "CFAR should flag the trigger: clean {clean_count} vs triggered {trig_count}"
-    );
-}
 
 #[test]
 fn trained_model_round_trips_through_json() {
@@ -56,33 +12,4 @@ fn trained_model_round_trips_through_json() {
     let restored: CnnLstm = load_json(&path).expect("load");
     assert_eq!(model, restored);
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn spectrogram_of_gesture_if_signal_shows_motion() {
-    // Build a slow-time signal by concatenating one range bin across the
-    // chirps of every frame of a real capture.
-    let capturer = Capturer::new(CaptureConfig::fast());
-    let sampler = ActivitySampler::new(Participant::average(), 16, 10.0);
-    let seq = sampler.sample(Activity::Push, &SampleVariation::nominal());
-    let frames = capturer.base_if_frames(
-        &seq,
-        Placement::new(1.2, 0.0),
-        &Environment::empty(),
-        3,
-        1.0,
-    );
-    // Slow-time samples: first ADC sample of every chirp on antenna 0.
-    let slow: Vec<mmwave_har_backdoor::dsp::Complex32> = frames
-        .iter()
-        .flat_map(|f| (0..f.n_chirps()).map(move |c| f.chirp(0, c)[0]))
-        .collect();
-    let spec = mmwave_har_backdoor::dsp::spectrogram::stft_magnitude(
-        &slow,
-        32,
-        16,
-        mmwave_har_backdoor::dsp::window::WindowKind::Hann,
-    );
-    assert!(spec.rows() > 4);
-    assert!(spec.total() > 0.0, "gesture must leave energy in the spectrogram");
 }
