@@ -24,7 +24,7 @@ fn main() {
     ];
     // Size equivalence needs only a low and a reference rate; set
     // MMWAVE_BENCH_FULL=1 to sweep all five rates.
-    let rates: Vec<f64> = if std::env::var("MMWAVE_BENCH_FULL").is_ok() {
+    let rates: Vec<f64> = if mmwave_bench::full_sweep() {
         mmwave_bench::injection_rates().to_vec()
     } else {
         vec![0.2, 0.4]

@@ -32,7 +32,7 @@ fn main() {
         "beyond the paper: the backdoor should degrade gracefully, not cliff, as capture faults grow",
     );
     let watch = Stopwatch::new();
-    let full = std::env::var("MMWAVE_BENCH_FULL").is_ok();
+    let full = mmwave_bench::full_sweep();
     let scale = if full { ExperimentScale::fast() } else { ExperimentScale::smoke_test() };
     let placements = scale.placements.clone();
     let mut ctx = ExperimentContext::new(scale, 42);

@@ -10,7 +10,9 @@
 //!
 //! * `MMWAVE_BENCH_REPS` — repetitions averaged per data point (paper: 30,
 //!   default here: 1);
-//! * `MMWAVE_BENCH_SCALE` — dataset-size multiplier (default 1).
+//! * `MMWAVE_BENCH_SCALE` — dataset-size multiplier (default 1);
+//! * `MMWAVE_BENCH_FULL` — `1` runs the full sweeps (default `0`), read
+//!   by [`full_sweep`].
 //!
 //! Performance is measured by `perfbench/` under the root `BENCHMARK.json`;
 //! [`perfcheck`] is the `mmwave perf-check` gate over its results.
@@ -50,12 +52,28 @@ pub fn injection_rates() -> [f64; 5] {
     [0.1, 0.2, 0.3, 0.4, 0.5]
 }
 
+/// Whether `MMWAVE_BENCH_FULL=1` asks for the full sweeps. Unset or `0`
+/// keeps the reduced ones; any other value warns, bumps
+/// `bench.config_invalid` and keeps them too.
+pub fn full_sweep() -> bool {
+    mmwave_telemetry::env_knob("MMWAVE_BENCH_FULL", "bench.config_invalid", false, parse_switch)
+}
+
+/// Parses a `0`/`1` switch, allowing surrounding whitespace.
+fn parse_switch(raw: &str) -> Option<bool> {
+    match raw.trim() {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    }
+}
+
 /// The poisoned-frame sweep of Figs. 9, 11, 13 (32 frames per sample).
 /// The paper sweeps {2, 4, 8, 16, 32}; the default here keeps the
 /// endpoints and the reference point to fit the single-core budget — set
 /// `MMWAVE_BENCH_FULL=1` for the full sweep.
 pub fn frame_counts() -> Vec<usize> {
-    if std::env::var("MMWAVE_BENCH_FULL").is_ok() {
+    if full_sweep() {
         vec![2, 4, 8, 16, 32]
     } else {
         vec![2, 8, 32]
@@ -128,5 +146,19 @@ impl Stopwatch {
     /// Prints a `[t=..s] message` progress line.
     pub fn note(&self, msg: &str) {
         println!("[t={:>5.0}s] {msg}", self.secs());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_full_sweep_switch_takes_0_or_1_and_nothing_else() {
+        assert_eq!(parse_switch("1"), Some(true));
+        assert_eq!(parse_switch(" 0 "), Some(false));
+        for junk in ["", "true", "yes", "2", "01", "on"] {
+            assert_eq!(parse_switch(junk), None, "{junk:?}");
+        }
     }
 }

@@ -1,40 +1,41 @@
-//! The perf regression gate over perfbench results.
+//! The perf regression gate over perfbench run sets.
 //!
-//! `run_benches.sh` runs every workload of the root `BENCHMARK.json`
-//! untraced and then traced, and writes one `BENCH_<workload>.json`:
+//! `scripts/ab_pairs.sh` runs every workload of the root `BENCHMARK.json`
+//! K times untraced and once traced per source tree, and writes one
+//! `BENCH_<workload>.json` per workload:
 //!
 //! ```text
 //! {"workload", "seed", "seconds", "git_sha", "nproc", "workers",
-//!  "untraced": <perfbench's last line>, "traced": <perfbench's last line>}
+//!  "untraced": [<run + "digest">; K], "traced": <run>}
 //! ```
 //!
-//! where each run is `{"correct", "attempted", "failed", "metrics": {name:
-//! {"value", "unit"}}}`. [`run`] compares a results directory against a
-//! baseline directory under the contract's own rules. A workload
-//! **regresses** when
-//!
-//! * an `end_to_end` metric of the untraced run is worse than the baseline
-//!   by more than its `bound` (a fraction of the baseline value), in the
-//!   direction its `better` gives;
-//! * either run on either side reads `"correct":false`;
-//! * the share `failed / attempted` of a run grew;
-//! * a metric the contract names is missing (end-to-end from `untraced`,
-//!   per-layer from `traced`).
-//!
-//! Per-layer metrics are printed as old / new / ratio and never fail. A
-//! differing `nproc` or `workers` is noted: the numbers are then not like
-//! for like. Every workload must be present on both sides; a missing or
-//! unreadable file is a [`PerfCheckError`], never a silent pass.
+//! where a run is perfbench's last line, `{"correct", "attempted", "failed",
+//! "metrics": {name: {"value", "unit"}}}`, and an untraced run also carries
+//! the 16-hex digest of perfbench's `# <workload>:` line. [`run`] compares
+//! two such directories. A workload **regresses** when an end-to-end
+//! metric's [`Verdict`] over the K against K untraced runs is `Worse`; when
+//! a digest differs within a side or between the sides (bit identity is the
+//! perf contract: a change that moves outputs on purpose says so and
+//! re-commits `baselines/`); when a run reads `"correct":false`; when a
+//! side's `failed / attempted` share grew. Per-layer metrics of the traced
+//! runs are printed as old / new / ratio and never fail. Sets run at another `seed`, `seconds` or K, and a
+//! missing or unreadable file or one that lacks a contract metric, are a
+//! [`PerfCheckError`], never a silent pass; a differing `nproc` or
+//! `workers` is noted.
 
 use serde::Deserialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// The benchmark contract, compiled in so the gate and the benchmark
 /// cannot disagree about names, directions or bounds.
 const CONTRACT: &str = include_str!("../../../BENCHMARK.json");
+
+/// Column heads of the report's two tables.
+const E2E_HEAD: &str = "end-to-end                      base q1/median/q3               \
+                        new q1/median/q3   worse  wins  verdict";
+const LAYER_HEAD: &str = "per-layer (traced, not gated)            base          new    ratio";
 
 /// Which direction of a metric is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
@@ -46,30 +47,114 @@ pub enum Better {
     Higher,
 }
 
+/// Median and inclusive quartiles of a run set, by the method of Python's
+/// `statistics.quantiles(xs, n=4, method="inclusive")`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Quartiles {
+    /// The quartiles of a non-empty set.
+    pub fn of(xs: &[f64]) -> Quartiles {
+        let mut s = xs.to_vec();
+        s.sort_by(f64::total_cmp);
+        let m = s.len() - 1;
+        let at = |i: usize| match (i * m / 4, i * m % 4) {
+            (j, 0) => s[j],
+            (j, d) => (s[j] * (4 - d) as f64 + s[j + 1] * d as f64) / 4.0,
+        };
+        Quartiles { q1: at(1), median: at(2), q3: at(3) }
+    }
+
+    fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+}
+
+/// A bounded end-to-end metric's outcome over two run sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The median moved past the bound the worse way: a regression.
+    Worse,
+    /// The bound is inside the baseline's spread; reported, never fails.
+    Unresolved,
+    /// The new runs won 9 of 10 pairs and moved the median past the noise.
+    Better,
+    /// None of the above.
+    WithinBound,
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Verdict::Worse => "worse",
+            Verdict::Unresolved => "unresolved",
+            Verdict::Better => "better",
+            Verdict::WithinBound => "within bound",
+        })
+    }
+}
+
 /// One bounded end-to-end metric of the contract.
 #[derive(Debug, Clone, Deserialize)]
 pub struct EndToEnd {
-    /// Metric name in perfbench's `metrics` object.
-    pub name: String,
-    /// Improvement direction.
-    pub better: Better,
-    /// Largest tolerated worsening, as a fraction of the baseline value.
-    pub bound: f64,
+    name: String,
+    better: Better,
+    /// Largest tolerated worsening, as a fraction of the baseline median.
+    bound: f64,
 }
 
 impl EndToEnd {
-    /// How much worse `new` is than `old`, as a fraction of `old`:
-    /// positive is worse, negative is better.
-    pub fn worse_by(&self, old: f64, new: f64) -> f64 {
-        let worse = match self.better {
-            Better::Lower => new - old,
-            Better::Higher => old - new,
-        };
-        if worse == 0.0 {
-            0.0
-        } else {
-            worse / old.abs()
+    /// How much better `to` is than `from`, in the metric's unit.
+    fn gain(&self, from: f64, to: f64) -> f64 {
+        match self.better {
+            Better::Lower => from - to,
+            Better::Higher => to - from,
         }
+    }
+
+    /// Judges the new runs against the baseline runs; run `i` of each side
+    /// make pair `i`, and a tie is a win for neither. The verdict is the
+    /// first that holds of:
+    ///
+    /// * [`Verdict::Unresolved`]: the baseline's IQR over its median
+    ///   exceeds the bound, unless every new run beats every baseline run;
+    /// * [`Verdict::Worse`]: the new median is worse than the baseline
+    ///   median by more than the bound;
+    /// * [`Verdict::Better`]: the new runs won at least 9 of 10 pairs and
+    ///   the medians differ by more than the baseline's IQR;
+    /// * [`Verdict::WithinBound`].
+    ///
+    /// Writes the metric's row of the report to `table` and returns the
+    /// verdict with the worsening of the median as a fraction of the
+    /// baseline median (negative is better).
+    fn judge(&self, old: &[f64], new: &[f64], table: &mut String) -> (Verdict, f64) {
+        let (o, n) = (Quartiles::of(old), Quartiles::of(new));
+        let gain = self.gain(o.median, n.median);
+        let worse_by = if gain == 0.0 { 0.0 } else { -gain / o.median.abs() };
+        let wins = old.iter().zip(new).filter(|&(&a, &b)| self.gain(a, b) > 0.0).count();
+        let beats_all = new.iter().all(|&b| old.iter().all(|&a| self.gain(a, b) > 0.0));
+        let spread = if o.iqr() == 0.0 { 0.0 } else { o.iqr() / o.median.abs() };
+        let verdict = if spread > self.bound && !beats_all {
+            Verdict::Unresolved
+        } else if worse_by > self.bound {
+            Verdict::Worse
+        } else if 10 * wins >= 9 * new.len() && gain > o.iqr() {
+            Verdict::Better
+        } else {
+            Verdict::WithinBound
+        };
+        let q = |q: Quartiles| format!("{:.4}/{:.4}/{:.4}", q.q1, q.median, q.q3);
+        let (name, worse, wins) = (&self.name, 100.0 * worse_by, format!("{wins}/{}", new.len()));
+        table.push_str(&format!(
+            "  {name:<18} {:>30} {:>30} {worse:>6.1}% {wins:>5}  {verdict}\n",
+            q(o),
+            q(n)
+        ));
+        (verdict, worse_by)
     }
 }
 
@@ -82,8 +167,7 @@ struct Named {
 #[derive(Debug, Clone, Deserialize)]
 pub struct Contract {
     workloads: Vec<Named>,
-    /// The bounded end-to-end metrics.
-    pub end_to_end: Vec<EndToEnd>,
+    end_to_end: Vec<EndToEnd>,
     per_layer: Vec<Named>,
 }
 
@@ -92,16 +176,6 @@ impl Contract {
     pub fn builtin() -> Contract {
         serde_json::from_str(CONTRACT).expect("the root BENCHMARK.json parses")
     }
-
-    /// Workload names, in contract order.
-    pub fn workloads(&self) -> impl Iterator<Item = &str> {
-        self.workloads.iter().map(|w| w.name.as_str())
-    }
-
-    /// Per-layer metric names, in contract order.
-    pub fn per_layer(&self) -> impl Iterator<Item = &str> {
-        self.per_layer.iter().map(|m| m.name.as_str())
-    }
 }
 
 #[derive(Debug, Clone, Deserialize)]
@@ -109,58 +183,41 @@ struct Metric {
     value: f64,
 }
 
-/// One perfbench run: its last line of standard output.
+/// One perfbench run: its last line of standard output, plus the digest
+/// of its outputs for an untraced run.
 #[derive(Debug, Clone, Deserialize)]
-pub struct Run {
-    /// Every output check of the run passed.
-    pub correct: bool,
-    /// Operations attempted (clips due, or table rows).
-    pub attempted: u64,
-    /// Operations that failed.
-    pub failed: u64,
+struct Run {
+    correct: bool,
+    attempted: u64,
+    failed: u64,
+    digest: Option<String>,
     metrics: BTreeMap<String, Metric>,
 }
 
 impl Run {
-    /// A metric's value, if the run reported it.
-    pub fn value(&self, name: &str) -> Option<f64> {
-        self.metrics.get(name).map(|m| m.value)
-    }
-
-    fn failed_share(&self) -> f64 {
-        self.failed as f64 / self.attempted.max(1) as f64
+    /// The first of `names` the run does not report.
+    fn lacks<'a>(&self, mut names: impl Iterator<Item = &'a String>) -> Option<&'a String> {
+        names.find(|name| !self.metrics.contains_key(*name))
     }
 }
 
-/// One `BENCH_<workload>.json`: an untraced and a traced perfbench run
-/// with the provenance of perfbench's `# env` line.
+/// One `BENCH_<workload>.json`: K untraced perfbench runs and one traced
+/// run, with the provenance of perfbench's `# env` line.
 #[derive(Debug, Clone, Deserialize)]
 pub struct BenchFile {
-    /// Workload name.
-    pub workload: String,
-    /// Seed both runs used.
-    pub seed: u64,
-    /// `--seconds` both runs used.
-    pub seconds: u64,
-    /// Revision the runs were built from.
-    pub git_sha: String,
-    /// Cores the host offered.
-    pub nproc: u64,
-    /// Worker threads the runs used.
-    pub workers: u64,
-    /// The `--trace 0` run: end-to-end metrics.
-    pub untraced: Run,
-    /// The `--trace 1` run: per-layer metrics.
-    pub traced: Run,
+    workload: String,
+    seed: u64,
+    seconds: u64,
+    nproc: u64,
+    workers: u64,
+    untraced: Vec<Run>,
+    traced: Run,
 }
 
 impl BenchFile {
-    /// The file name `run_benches.sh` writes for a workload.
-    pub fn file_name(workload: &str) -> String {
-        format!("BENCH_{workload}.json")
-    }
-
-    /// Parses a file's text, which must describe `workload`.
+    /// Parses a file's text, which must describe `workload`, give every
+    /// untraced run a 16-hex digest and every contract end-to-end metric,
+    /// and give the traced run every per-layer one.
     ///
     /// # Errors
     ///
@@ -170,7 +227,23 @@ impl BenchFile {
         if file.workload != workload {
             return Err(format!("holds workload `{}`, not `{workload}`", file.workload));
         }
-        Ok(file)
+        if file.untraced.is_empty() {
+            return Err("holds no untraced run".into());
+        }
+        let contract = Contract::builtin();
+        for (i, run) in file.untraced.iter().enumerate() {
+            let digest = run.digest.as_deref().unwrap_or("");
+            if digest.len() != 16 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(format!("untraced run {} has digest {digest:?}, not 16 hex", i + 1));
+            }
+            if let Some(name) = run.lacks(contract.end_to_end.iter().map(|m| &m.name)) {
+                return Err(format!("untraced run {} lacks {name}", i + 1));
+            }
+        }
+        match file.traced.lacks(contract.per_layer.iter().map(|m| &m.name)) {
+            Some(name) => Err(format!("the traced run lacks {name}")),
+            None => Ok(file),
+        }
     }
 
     /// Loads `dir/BENCH_<workload>.json`.
@@ -178,161 +251,140 @@ impl BenchFile {
     /// # Errors
     ///
     /// [`PerfCheckError`] naming the path when the file is absent,
-    /// unreadable or not a result of `workload`.
+    /// unreadable or not a run set of `workload`.
     pub fn load(dir: &Path, workload: &str) -> Result<BenchFile, PerfCheckError> {
-        let path = dir.join(BenchFile::file_name(workload));
-        let bytes = std::fs::read(&path).map_err(|error| match error.kind() {
-            io::ErrorKind::NotFound => PerfCheckError::Missing { path: path.clone() },
-            _ => PerfCheckError::Read { path: path.clone(), error },
-        })?;
+        let path = dir.join(format!("BENCH_{workload}.json"));
+        let bytes = std::fs::read(&path).map_err(|e| PerfCheckError::Read(path.clone(), e))?;
         std::str::from_utf8(&bytes)
             .map_err(|e| e.to_string())
             .and_then(|text| BenchFile::parse(text, workload))
-            .map_err(|reason| PerfCheckError::Parse { path, reason })
+            .map_err(|reason| PerfCheckError::Parse(path, reason))
+    }
+
+    fn digests(&self) -> BTreeSet<&str> {
+        self.untraced.iter().filter_map(|r| r.digest.as_deref()).collect()
     }
 }
 
 /// Why the gate could not compare at all.
 #[derive(Debug)]
 pub enum PerfCheckError {
-    /// A workload's file is absent.
-    Missing {
-        /// The expected file.
-        path: PathBuf,
-    },
-    /// The file exists but could not be read.
-    Read {
-        /// The file.
-        path: PathBuf,
-        /// The I/O error.
-        error: io::Error,
-    },
-    /// The file is not a perfbench result of its workload.
-    Parse {
-        /// The file.
-        path: PathBuf,
-        /// What is wrong with it.
-        reason: String,
-    },
+    /// A workload's file is absent or unreadable.
+    Read(PathBuf, std::io::Error),
+    /// The file is not a run set of its workload, and why.
+    Parse(PathBuf, String),
+    /// The two sides of a workload ran at different settings: the
+    /// workload, the setting, and the baseline's and the new value.
+    Mismatch(String, &'static str, u64, u64),
 }
 
 impl fmt::Display for PerfCheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PerfCheckError::Missing { path } => write!(f, "{}: no such file", path.display()),
-            PerfCheckError::Read { path, error } => write!(f, "{}: {error}", path.display()),
-            PerfCheckError::Parse { path, reason } => {
-                write!(f, "{}: not a perfbench result: {reason}", path.display())
+            PerfCheckError::Read(path, error) => write!(f, "{}: {error}", path.display()),
+            PerfCheckError::Parse(path, reason) => {
+                write!(f, "{}: not a perfbench run set: {reason}", path.display())
             }
+            PerfCheckError::Mismatch(workload, what, old, new) => write!(
+                f,
+                "{workload}: {what} {old} in the baseline, {new} in the new set; \
+                 only sets run at the same settings compare"
+            ),
         }
     }
 }
 
 impl std::error::Error for PerfCheckError {}
 
-/// One metric's old-versus-new row.
+/// One workload's comparison: its report table, its count of unresolved
+/// metrics, and why it regressed (empty when it passed).
 #[derive(Debug, Clone)]
-pub struct Row {
-    /// Metric name.
-    pub name: String,
-    /// Baseline value.
-    pub old: f64,
-    /// New value.
-    pub new: f64,
-    /// Worsening as a fraction of the baseline (end-to-end rows only).
-    pub worse_by: Option<f64>,
+struct WorkloadReport {
+    workload: String,
+    table: String,
+    unresolved: usize,
+    regressions: Vec<String>,
 }
 
-/// One workload's comparison.
-#[derive(Debug, Clone)]
-pub struct WorkloadReport {
-    /// Workload name.
-    pub workload: String,
-    /// The gated end-to-end metrics of the untraced runs.
-    pub end_to_end: Vec<Row>,
-    /// The reported per-layer metrics of the traced runs.
-    pub per_layer: Vec<Row>,
-    /// Why the workload regressed; empty when it passed.
-    pub regressions: Vec<String>,
-    /// Provenance differences that make the numbers not like for like.
-    pub notes: Vec<String>,
-}
-
-/// A metric's (baseline, new) values, or a regression naming the side of
-/// the `label` run it is missing from.
-fn both(
-    label: &str,
-    name: &str,
-    (old, new): (Option<f64>, Option<f64>),
-    regressions: &mut Vec<String>,
-) -> Option<(f64, f64)> {
-    match (old, new) {
-        (Some(o), Some(n)) => Some((o, n)),
-        _ => {
-            let side = if old.is_none() { "baseline" } else { "new" };
-            regressions.push(format!("{name} is missing from the {side} {label} run"));
-            None
-        }
+/// Compares one workload's new run set against its baseline, or refuses
+/// sets run at another seed, length or run count.
+fn compare_workload(
+    contract: &Contract,
+    old: &BenchFile,
+    new: &BenchFile,
+) -> Result<WorkloadReport, PerfCheckError> {
+    let settings = [
+        ("seed", old.seed, new.seed),
+        ("seconds", old.seconds, new.seconds),
+        ("untraced runs", old.untraced.len() as u64, new.untraced.len() as u64),
+    ];
+    if let Some(&(what, o, n)) = settings.iter().find(|(_, o, n)| o != n) {
+        return Err(PerfCheckError::Mismatch(old.workload.clone(), what, o, n));
     }
-}
-
-/// Compares one workload's new result against its baseline.
-pub fn compare_workload(contract: &Contract, old: &BenchFile, new: &BenchFile) -> WorkloadReport {
-    let mut regressions = Vec::new();
-    for (label, o, n) in
-        [("untraced", &old.untraced, &new.untraced), ("traced", &old.traced, &new.traced)]
-    {
-        for (side, run) in [("baseline", o), ("new", n)] {
-            if !run.correct {
-                regressions.push(format!("the {side} {label} run reads \"correct\":false"));
+    let mut why = Vec::new();
+    let untraced = [old.untraced.as_slice(), new.untraced.as_slice()];
+    let traced = [std::slice::from_ref(&old.traced), std::slice::from_ref(&new.traced)];
+    for (label, [o, n]) in [("untraced", untraced), ("traced", traced)] {
+        for (side, runs) in [("baseline", o), ("new", n)] {
+            if runs.iter().any(|r| !r.correct) {
+                why.push(format!("a {side} {label} run reads \"correct\":false"));
             }
         }
-        if n.failed_share() > o.failed_share() {
-            regressions.push(format!(
-                "{label} failed share grew: {}/{} -> {}/{}",
-                o.failed, o.attempted, n.failed, n.attempted
-            ));
+        let share =
+            |runs: &[Run]| runs.iter().fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted));
+        let ((of, oa), (nf, na)) = (share(o), share(n));
+        if nf as f64 / na.max(1) as f64 > of as f64 / oa.max(1) as f64 {
+            why.push(format!("{label} failed share grew: {of}/{oa} -> {nf}/{na}"));
         }
     }
-    let mut end_to_end = Vec::new();
+    let (od, nd) = (old.digests(), new.digests());
+    for (side, digests) in [("baseline", &od), ("new", &nd)] {
+        if digests.len() > 1 {
+            why.push(format!("the {side} runs disagree on their digest: {digests:?}"));
+        }
+    }
+    if od != nd {
+        why.push(format!(
+            "digest {od:?} -> {nd:?}: the outputs are no longer bit-identical; a change that \
+             moves them on purpose says so and re-commits baselines/ from its own runs"
+        ));
+    }
+    let value = |run: &Run, name: &str| run.metrics[name].value;
+    let mut table = format!("  {E2E_HEAD}\n");
+    let mut unresolved = 0;
     for m in &contract.end_to_end {
-        let pair = (old.untraced.value(&m.name), new.untraced.value(&m.name));
-        if let Some((o, n)) = both("untraced", &m.name, pair, &mut regressions) {
-            let worse_by = m.worse_by(o, n);
-            if worse_by > m.bound {
-                regressions.push(format!(
-                    "{} {o} -> {n} is {:.1}% worse ({} is better, bound {:.0}%)",
-                    m.name,
-                    100.0 * worse_by,
-                    if m.better == Better::Lower { "lower" } else { "higher" },
-                    100.0 * m.bound
-                ));
-            }
-            end_to_end.push(Row { name: m.name.clone(), old: o, new: n, worse_by: Some(worse_by) });
+        let [o, n] =
+            untraced.map(|runs| runs.iter().map(|r| value(r, &m.name)).collect::<Vec<_>>());
+        match m.judge(&o, &n, &mut table) {
+            (Verdict::Unresolved, _) => unresolved += 1,
+            (Verdict::Worse, by) => why.push(format!(
+                "{} median is {:.1}% worse, past its {:.0}% bound",
+                m.name,
+                100.0 * by,
+                100.0 * m.bound
+            )),
+            _ => {}
         }
     }
-    let mut per_layer = Vec::new();
-    for name in contract.per_layer() {
-        let pair = (old.traced.value(name), new.traced.value(name));
-        if let Some((o, n)) = both("traced", name, pair, &mut regressions) {
-            per_layer.push(Row { name: name.to_string(), old: o, new: n, worse_by: None });
-        }
+    table.push_str(&format!("  {LAYER_HEAD}\n"));
+    for Named { name } in &contract.per_layer {
+        let (old, new) = (value(&old.traced, name), value(&new.traced, name));
+        let ratio = if old == 0.0 { 1.0 } else { new / old };
+        table.push_str(&format!("  {name:<32} {old:>12.4} {new:>12.4} {ratio:>7.2}x\n"));
     }
-    let mut notes = Vec::new();
     if (old.nproc, old.workers) != (new.nproc, new.workers) {
-        notes.push(format!(
-            "nproc/workers changed ({}/{} -> {}/{}); numbers are not like for like",
+        table.push_str(&format!(
+            "  note: nproc/workers changed ({}/{} -> {}/{}); numbers are not like for like\n",
             old.nproc, old.workers, new.nproc, new.workers
         ));
     }
-    WorkloadReport { workload: new.workload.clone(), end_to_end, per_layer, regressions, notes }
+    Ok(WorkloadReport { workload: new.workload.clone(), table, unresolved, regressions: why })
 }
 
 /// The whole gate run, one report per workload in contract order.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
-    /// Per-workload comparisons.
-    pub workloads: Vec<WorkloadReport>,
+    workloads: Vec<WorkloadReport>,
 }
 
 impl PerfReport {
@@ -346,34 +398,15 @@ impl fmt::Display for PerfReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for w in &self.workloads {
             let verdict = if w.regressions.is_empty() { "pass" } else { "REGRESS" };
-            writeln!(f, "== {} ({verdict})", w.workload)?;
-            writeln!(
-                f,
-                "  {:<32} {:>12} {:>12} {:>8}",
-                "end-to-end (untraced)", "base", "new", "worse"
-            )?;
-            for r in &w.end_to_end {
-                let worse = 100.0 * r.worse_by.unwrap_or(0.0);
-                writeln!(f, "  {:<32} {:>12.4} {:>12.4} {:>7.1}%", r.name, r.old, r.new, worse)?;
-            }
-            writeln!(
-                f,
-                "  {:<32} {:>12} {:>12} {:>8}",
-                "per-layer (traced, not gated)", "base", "new", "ratio"
-            )?;
-            for r in &w.per_layer {
-                let ratio = if r.old == 0.0 { 1.0 } else { r.new / r.old };
-                writeln!(f, "  {:<32} {:>12.4} {:>12.4} {:>7.2}x", r.name, r.old, r.new, ratio)?;
-            }
-            for note in &w.notes {
-                writeln!(f, "  note: {note}")?;
-            }
+            write!(f, "== {} ({verdict})\n{}", w.workload, w.table)?;
             for reason in &w.regressions {
                 writeln!(f, "  REGRESS {}: {reason}", w.workload)?;
             }
         }
         let regressed = self.workloads.iter().filter(|w| !w.regressions.is_empty()).count();
-        write!(f, "{} workloads compared, {regressed} regressed", self.workloads.len())
+        let unresolved: usize = self.workloads.iter().map(|w| w.unresolved).sum();
+        let n = self.workloads.len();
+        write!(f, "{n} workloads compared, {regressed} regressed, {unresolved} metrics unresolved")
     }
 }
 
@@ -382,15 +415,16 @@ impl fmt::Display for PerfReport {
 ///
 /// # Errors
 ///
-/// The first [`PerfCheckError`]: each directory must hold every workload.
+/// The first [`PerfCheckError`].
 pub fn run(results_dir: &Path, baseline_dir: &Path) -> Result<PerfReport, PerfCheckError> {
     let contract = Contract::builtin();
     let workloads = contract
-        .workloads()
-        .map(|w| {
-            let old = BenchFile::load(baseline_dir, w)?;
-            let new = BenchFile::load(results_dir, w)?;
-            Ok(compare_workload(&contract, &old, &new))
+        .workloads
+        .iter()
+        .map(|Named { name }| {
+            let old = BenchFile::load(baseline_dir, name)?;
+            let new = BenchFile::load(results_dir, name)?;
+            compare_workload(&contract, &old, &new)
         })
         .collect::<Result<_, _>>()?;
     Ok(PerfReport { workloads })
@@ -408,7 +442,7 @@ mod tests {
     }
 
     fn committed_text(workload: &str) -> String {
-        std::fs::read_to_string(committed_dir().join(BenchFile::file_name(workload)))
+        std::fs::read_to_string(committed_dir().join(format!("BENCH_{workload}.json")))
             .expect("the committed baselines are readable")
     }
 
@@ -424,12 +458,7 @@ mod tests {
     }
 
     fn compare(new: &BenchFile) -> WorkloadReport {
-        compare_workload(&Contract::builtin(), &committed("serve_open"), new)
-    }
-
-    fn set_metric(v: &mut Value, run: &str, name: &str, f: impl Fn(f64) -> f64) {
-        let value = &mut v[run]["metrics"][name]["value"];
-        *value = Value::from(f(value.as_f64().expect("metric is a number")));
+        compare_workload(&Contract::builtin(), &committed("serve_open"), new).unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -443,104 +472,114 @@ mod tests {
     #[test]
     fn every_committed_baseline_carries_every_contract_metric() {
         let contract = Contract::builtin();
-        assert_eq!(contract.workloads().count(), 3);
+        assert_eq!(contract.workloads.len(), 3);
         assert_eq!(contract.end_to_end.len(), 6);
-        assert_eq!(contract.per_layer().count(), 45);
-        for w in contract.workloads() {
+        assert_eq!(contract.per_layer.len(), 45);
+        let digests = [
+            ("serve_open", "b45a79cc0ec4905e"),
+            ("serve_firehose", "8a9fb2dfe3ea17a9"),
+            ("attack_campaign", "bdbe2f993a48bfc2"),
+        ];
+        for (w, digest) in digests {
             let file = committed(w);
-            assert!(file.untraced.correct && file.traced.correct, "{w}: both runs correct");
+            assert_eq!(file.untraced.len(), 10, "{w}: K = 10 untraced runs");
+            assert_eq!((file.seed, file.seconds), (1, 30), "{w}: seed 1, 30 s");
             assert_eq!((file.nproc, file.workers), (2, 2), "{w}: the 2-core label");
-            for m in &contract.end_to_end {
-                assert!(file.untraced.value(&m.name).is_some(), "{w}: untraced lacks {}", m.name);
+            assert_eq!(file.digests(), BTreeSet::from([digest]), "{w}: the seed-1 digest");
+            assert!(file.untraced.iter().chain([&file.traced]).all(|r| r.correct), "{w}");
+            for run in &file.untraced {
+                for m in &contract.end_to_end {
+                    assert!(run.metrics.contains_key(&m.name), "{w}: untraced lacks {}", m.name);
+                }
             }
-            for name in contract.per_layer() {
-                assert!(file.traced.value(name).is_some(), "{w}: traced lacks {name}");
+            for Named { name } in &contract.per_layer {
+                assert!(file.traced.metrics.contains_key(name), "{w}: traced lacks {name}");
             }
         }
     }
 
     #[test]
-    fn self_comparison_passes_with_exit_zero() {
-        let report = run(&committed_dir(), &committed_dir()).unwrap();
-        assert_eq!(report.workloads.len(), 3);
-        assert!(!report.has_regressions(), "{report}");
-        assert!(report.workloads.iter().all(|w| w.notes.is_empty()));
-    }
-
-    #[test]
-    fn inflated_wall_time_fails_the_gate() {
-        for name in ["latency_p50_ms", "latency_p99_ms", "setup_s"] {
-            let report =
-                compare(&edited(|v| set_metric(v, "untraced", name, |x| x * 10.0 + 10000.0)));
-            assert_eq!(report.regressions.len(), 1, "{name}: {:?}", report.regressions);
-            assert!(report.regressions[0].starts_with(name), "{:?}", report.regressions);
-        }
-        let slower =
-            compare(&edited(|v| set_metric(v, "untraced", "throughput_per_s", |x| x * 0.5)));
-        assert!(slower.regressions[0].contains("higher is better"), "{:?}", slower.regressions);
-    }
-
-    #[test]
-    fn growth_within_the_bound_is_not_a_regression() {
-        let report = compare(&edited(|v| {
-            set_metric(v, "untraced", "latency_p50_ms", |x| x * 1.2);
-            set_metric(v, "untraced", "throughput_per_s", |x| x * 0.8);
-            set_metric(v, "untraced", "ok_frac", |x| x * 0.99);
-        }));
-        assert!(report.regressions.is_empty(), "{:?}", report.regressions);
-        let faster = compare(&edited(|v| set_metric(v, "untraced", "latency_p50_ms", |x| x * 0.1)));
-        assert!(faster.regressions.is_empty(), "an improvement never fails");
+    fn quartiles_follow_the_inclusive_method() {
+        let q = |xs: &[f64]| {
+            let q = Quartiles::of(xs);
+            (q.q1, q.median, q.q3)
+        };
+        let ten: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        assert_eq!(q(&ten), (3.25, 5.5, 7.75));
+        assert_eq!(q(&[7.0, 1.0, 2.0, 6.0, 3.0, 5.0, 4.0]), (2.5, 4.0, 5.5));
+        assert_eq!(q(&[4.0]), (4.0, 4.0, 4.0));
     }
 
     #[test]
     fn per_layer_blowup_is_reported_but_never_fails() {
-        let report = compare(&edited(|v| set_metric(v, "traced", "nn.lstm_us", |x| x * 100.0)));
+        let report = compare(&edited(|v| {
+            let value = &mut v["traced"]["metrics"]["nn.lstm_us"]["value"];
+            *value = Value::from(value.as_f64().unwrap() * 100.0);
+        }));
         assert!(report.regressions.is_empty(), "{:?}", report.regressions);
-        let row = report.per_layer.iter().find(|r| r.name == "nn.lstm_us").unwrap();
-        assert!((row.new / row.old - 100.0).abs() < 1e-9);
+        let row = report.table.lines().find(|l| l.trim_start().starts_with("nn.lstm_us")).unwrap();
+        assert!(row.ends_with(" 100.00x"), "{row}");
     }
 
     #[test]
-    fn correctness_failures_and_missing_metrics_regress() {
-        let wrong = compare(&edited(|v| v["traced"]["correct"] = Value::from(false)));
-        assert!(wrong.regressions.iter().any(|r| r.contains("\"correct\":false")));
-        let failing = compare(&edited(|v| {
-            let failed = v["untraced"]["failed"].as_u64().unwrap();
-            v["untraced"]["failed"] = Value::from(failed + 5);
-        }));
-        assert!(failing.regressions.iter().any(|r| r.contains("failed share grew")));
-        let missing = compare(&edited(|v| {
-            v["traced"]["metrics"].as_object_mut().unwrap().remove("dsp.range_fft_us");
-        }));
-        assert_eq!(
-            missing.regressions,
-            vec!["dsp.range_fft_us is missing from the new traced run"]
-        );
+    fn growth_within_the_bound_is_not_a_regression() {
+        let contract = Contract::builtin();
+        let base: Vec<f64> = (0..10).map(|i| 10.0 + 0.1 * f64::from(i)).collect();
+        let mut table = String::new();
+        let within = [
+            ("latency_p50_ms", 1.2),
+            ("throughput_per_s", 0.8),
+            ("ok_frac", 0.99),
+            ("setup_s", 0.1),
+        ];
+        for (name, factor) in within {
+            let m = contract.end_to_end.iter().find(|m| m.name == name).unwrap();
+            let new: Vec<f64> = base.iter().map(|x| x * factor).collect();
+            let (verdict, _) = m.judge(&base, &new, &mut table);
+            assert_ne!(verdict, Verdict::Worse, "{name} x{factor}:\n{table}");
+        }
     }
 
     #[test]
     fn a_provenance_change_is_noted() {
         let report = compare(&edited(|v| v["nproc"] = Value::from(8u64)));
         assert!(report.regressions.is_empty());
-        assert!(report.notes[0].contains("nproc/workers changed"), "{:?}", report.notes);
-    }
-
-    #[test]
-    fn empty_results_directory_is_an_error() {
-        let empty = temp_dir("empty");
-        match run(&empty, &committed_dir()) {
-            Err(PerfCheckError::Missing { path }) => {
-                assert!(path.ends_with("BENCH_serve_open.json"), "{}", path.display())
-            }
-            other => panic!("expected a missing-file error, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&empty).ok();
+        assert!(report.table.contains("note: nproc/workers changed (2/2 -> 8/2)"), "{report:?}");
     }
 
     #[test]
     fn a_file_for_another_workload_is_refused() {
         let err = BenchFile::parse(&committed_text("serve_firehose"), "serve_open").unwrap_err();
         assert!(err.contains("`serve_firehose`"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_metric_or_the_single_run_format_is_a_parse_error() {
+        let parse = |edit: fn(&mut Value)| {
+            let mut v: Value = serde_json::from_str(&committed_text("serve_open")).unwrap();
+            edit(&mut v);
+            BenchFile::parse(&v.to_string(), "serve_open").unwrap_err()
+        };
+        let err = parse(|v| {
+            v["traced"]["metrics"].as_object_mut().unwrap().remove("dsp.range_fft_us");
+        });
+        assert_eq!(err, "the traced run lacks dsp.range_fft_us");
+        let err = parse(|v| {
+            v["untraced"][7]["metrics"].as_object_mut().unwrap().remove("setup_s");
+        });
+        assert_eq!(err, "untraced run 8 lacks setup_s");
+        // The old format: one untraced run object, with no digest.
+        let dir = temp_dir("single");
+        let mut v: Value = serde_json::from_str(&committed_text("serve_open")).unwrap();
+        let mut run = v["untraced"][0].clone();
+        run.as_object_mut().unwrap().remove("digest");
+        v["untraced"] = run;
+        std::fs::write(dir.join("BENCH_serve_open.json"), v.to_string()).unwrap();
+        match BenchFile::load(&dir, "serve_open") {
+            Err(PerfCheckError::Parse(path, _)) => assert!(path.ends_with("BENCH_serve_open.json")),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Seeded byte damage to a committed baseline: loading never panics.
@@ -551,7 +590,7 @@ mod tests {
         const CASES: u64 = 256;
         let dir = temp_dir("damage");
         let original = committed_text("attack_campaign").into_bytes();
-        let path = dir.join(BenchFile::file_name("attack_campaign"));
+        let path = dir.join("BENCH_attack_campaign.json");
         let mut refused = 0;
         for seed in 0..CASES {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -569,7 +608,7 @@ mod tests {
             let loaded = std::panic::catch_unwind(|| BenchFile::load(&dir, "attack_campaign"))
                 .unwrap_or_else(|_| panic!("seed {seed}: loading a damaged baseline panicked"));
             match loaded {
-                Err(PerfCheckError::Parse { .. }) => refused += 1,
+                Err(PerfCheckError::Parse(..)) => refused += 1,
                 Ok(_) if !truncated => {}
                 other => panic!("seed {seed}: expected a parse error, got {other:?}"),
             }

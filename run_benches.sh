@@ -2,13 +2,11 @@
 # The performance baselines, then the paper-reproduction benches, appending
 # to bench_output.txt.
 #
-# Perf baselines: each workload of BENCHMARK.json runs through perfbench
-# twice, untraced (end-to-end metrics) and traced (per-layer metrics), at
-# seed 1 for BENCHMARK.json's run_seconds. Both result lines and the
-# provenance from perfbench's `# env` line land in
-# bench_metrics/BENCH_<workload>.json; compare two such directories with
-# `mmwave perf-check` (see docs/observability.md, "Perf baselines & the
-# regression gate").
+# Perf baselines: scripts/ab_pairs.sh runs every workload of BENCHMARK.json
+# on this tree (K untraced runs and one traced run each) into
+# bench_metrics/BENCH_<workload>.json; gate them with
+# `mmwave perf-check bench_metrics --baseline baselines` (see
+# docs/observability.md, "Perf baselines & the regression gate").
 #
 # Fault-tolerant: a failing run no longer aborts the sweep — every target
 # runs, and a pass/fail summary table is printed (and appended to
@@ -23,7 +21,7 @@
 # a worker count; the count is recorded in bench_metrics/<bench>.meta.json
 # next to the event stream. Results are byte-identical across worker counts
 # — the pool only trades wall time (see docs/parallelism.md). perfbench
-# fixes its own worker count and records it in its baseline.
+# fixes its own worker count and records it in its baselines.
 set -uo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")" || exit 1
 mkdir -p bench_metrics
@@ -31,10 +29,6 @@ mkdir -p bench_metrics
 workers="${MMWAVE_WORKERS:-$(nproc 2>/dev/null || echo 1)}"
 git_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 export MMWAVE_GIT_SHA="$git_sha"
-
-workloads="serve_open serve_firehose attack_campaign"
-perf_seed=1
-perf_seconds=30
 
 benches="fig08_similar_rate fig09_similar_frames fig07_confusion_matrix \
          fig03_shap_histogram fig05_heatmap_stealth \
@@ -47,34 +41,14 @@ benches="fig08_similar_rate fig09_similar_frames fig07_confusion_matrix \
 declare -A status
 failures=0
 
-# One perfbench run of workload $1 at --trace $2: its output goes to
-# stdout and bench_output.txt, and the exit status is perfbench's.
-perf_run() {
-  bash perfbench/run.sh --workload "$1" --seed "$perf_seed" --seconds "$perf_seconds" \
-    --trace "$2" 2>> bench_output.txt | tee -a bench_output.txt
-}
-
-# A field of the `# env` line perfbench prints first: git_sha, nproc, workers.
-env_field() {
-  sed -n "s/^# env.* $1=\([^ ]*\).*/\1/p" <<< "$2"
-}
-
-for w in $workloads; do
-  echo "================ perfbench $w (seed $perf_seed, ${perf_seconds}s) ================" >> bench_output.txt
-  if untraced="$(perf_run "$w" 0)" && traced="$(perf_run "$w" 1)"; then
-    out="bench_metrics/BENCH_$w.json"
-    printf '{"workload":"%s","seed":%s,"seconds":%s,"git_sha":"%s","nproc":%s,"workers":%s,"untraced":%s,"traced":%s}\n' \
-      "$w" "$perf_seed" "$perf_seconds" "$(env_field git_sha "$untraced")" \
-      "$(env_field nproc "$untraced")" "$(env_field workers "$untraced")" \
-      "$(tail -n1 <<< "$untraced")" "$(tail -n1 <<< "$traced")" \
-      > "$out.tmp" && mv "$out.tmp" "$out"
-    status[$w]=PASS
-  else
-    status[$w]=FAIL
-    failures=$((failures + 1))
-  fi
-  echo "[runner] perfbench $w ${status[$w]} at $(date +%H:%M:%S)" >> bench_output.txt
-done
+echo "================ perfbench (scripts/ab_pairs.sh) ================" >> bench_output.txt
+if (cd bench_metrics && bash ../scripts/ab_pairs.sh ..) >> bench_output.txt 2>&1; then
+  status[perfbench]=PASS
+else
+  status[perfbench]=FAIL
+  failures=$((failures + 1))
+fi
+echo "[runner] perfbench ${status[perfbench]} at $(date +%H:%M:%S)" >> bench_output.txt
 
 for b in $benches; do
   echo "================ $b (MMWAVE_WORKERS=$workers) ================" >> bench_output.txt
@@ -105,7 +79,7 @@ done
   printf '  "failures": %s,\n' "$failures"
   echo '  "benches": {'
   sep=''
-  for b in $workloads $benches; do
+  for b in perfbench $benches; do
     printf '%s    "%s": "%s"' "$sep" "$b" "${status[$b]}"
     sep=$',\n'
   done
@@ -115,7 +89,7 @@ done
 {
   echo "[runner] ALL BENCHES DONE ($failures failed, MMWAVE_WORKERS=$workers, git=$git_sha)"
   printf '%-28s %s\n' "bench" "status"
-  for b in $workloads $benches; do
+  for b in perfbench $benches; do
     printf '%-28s %s\n' "$b" "${status[$b]}"
   done
 } | tee -a bench_output.txt

@@ -652,9 +652,9 @@ fn attack(args: &Args) -> CommandResult {
 }
 
 /// The perf regression gate: `mmwave perf-check <results-dir> --baseline
-/// <dir>` compares the `BENCH_<workload>.json` perfbench results that
-/// `run_benches.sh` wrote (see `mmwave-bench::perfcheck`) and exits nonzero
-/// when any workload regressed or either directory lacks a workload.
+/// <dir>` compares the `BENCH_<workload>.json` perfbench run sets that
+/// `scripts/ab_pairs.sh` wrote (see `mmwave-bench::perfcheck`) and exits
+/// nonzero when any workload regressed or the sets cannot be compared.
 fn perf_check(args: &Args) -> CommandResult {
     use mmwave_har_backdoor::bench::perfcheck;
     let results_dir = args.required_positional()?;
