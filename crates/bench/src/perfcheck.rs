@@ -77,7 +77,8 @@ impl Quartiles {
 /// A bounded end-to-end metric's outcome over two run sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// The median moved past the bound the worse way: a regression.
+    /// The median moved past the bound the worse way, clear of the
+    /// baseline's spread: a regression.
     Worse,
     /// The bound is inside the baseline's spread; reported, never fails.
     Unresolved,
@@ -117,13 +118,14 @@ impl EndToEnd {
     }
 
     /// Judges the new runs against the baseline runs; run `i` of each side
-    /// make pair `i`, and a tie is a win for neither. The verdict is the
-    /// first that holds of:
+    /// make pair `i`, and a tie is a win for neither. The baseline's spread
+    /// is its IQR over its median. The verdict is the first that holds of:
     ///
-    /// * [`Verdict::Unresolved`]: the baseline's IQR over its median
-    ///   exceeds the bound, unless every new run beats every baseline run;
     /// * [`Verdict::Worse`]: the new median is worse than the baseline
-    ///   median by more than the bound;
+    ///   median by more than the bound, and by more than the spread or
+    ///   with every new run worse than every baseline run;
+    /// * [`Verdict::Unresolved`]: the spread exceeds the bound, unless
+    ///   every new run beats every baseline run;
     /// * [`Verdict::Better`]: the new runs won at least 9 of 10 pairs and
     ///   the medians differ by more than the baseline's IQR;
     /// * [`Verdict::WithinBound`].
@@ -136,12 +138,14 @@ impl EndToEnd {
         let gain = self.gain(o.median, n.median);
         let worse_by = if gain == 0.0 { 0.0 } else { -gain / o.median.abs() };
         let wins = old.iter().zip(new).filter(|&(&a, &b)| self.gain(a, b) > 0.0).count();
-        let beats_all = new.iter().all(|&b| old.iter().all(|&a| self.gain(a, b) > 0.0));
+        let apart = |beats: fn(f64) -> bool| {
+            new.iter().all(|&b| old.iter().all(|&a| beats(self.gain(a, b))))
+        };
         let spread = if o.iqr() == 0.0 { 0.0 } else { o.iqr() / o.median.abs() };
-        let verdict = if spread > self.bound && !beats_all {
-            Verdict::Unresolved
-        } else if worse_by > self.bound {
+        let verdict = if worse_by > self.bound && (worse_by > spread || apart(|g| g < 0.0)) {
             Verdict::Worse
+        } else if spread > self.bound && !apart(|g| g > 0.0) {
+            Verdict::Unresolved
         } else if 10 * wins >= 9 * new.len() && gain > o.iqr() {
             Verdict::Better
         } else {
@@ -169,13 +173,6 @@ pub struct Contract {
     workloads: Vec<Named>,
     end_to_end: Vec<EndToEnd>,
     per_layer: Vec<Named>,
-}
-
-impl Contract {
-    /// The contract compiled into this binary.
-    pub fn builtin() -> Contract {
-        serde_json::from_str(CONTRACT).expect("the root BENCHMARK.json parses")
-    }
 }
 
 #[derive(Debug, Clone, Deserialize)]
@@ -214,15 +211,20 @@ pub struct BenchFile {
     traced: Run,
 }
 
-impl BenchFile {
-    /// Parses a file's text, which must describe `workload`, give every
-    /// untraced run a 16-hex digest and every contract end-to-end metric,
-    /// and give the traced run every per-layer one.
+impl Contract {
+    /// The contract compiled into this binary.
+    pub fn builtin() -> Contract {
+        serde_json::from_str(CONTRACT).expect("the root BENCHMARK.json parses")
+    }
+
+    /// Parses a run set's text, which must describe `workload`, give every
+    /// untraced run a 16-hex digest and every end-to-end metric of the
+    /// contract, and give the traced run every per-layer one.
     ///
     /// # Errors
     ///
     /// The reason the text is not such a file.
-    pub fn parse(text: &str, workload: &str) -> Result<BenchFile, String> {
+    pub fn parse(&self, text: &str, workload: &str) -> Result<BenchFile, String> {
         let file: BenchFile = serde_json::from_str(text).map_err(|e| e.to_string())?;
         if file.workload != workload {
             return Err(format!("holds workload `{}`, not `{workload}`", file.workload));
@@ -230,37 +232,38 @@ impl BenchFile {
         if file.untraced.is_empty() {
             return Err("holds no untraced run".into());
         }
-        let contract = Contract::builtin();
         for (i, run) in file.untraced.iter().enumerate() {
             let digest = run.digest.as_deref().unwrap_or("");
             if digest.len() != 16 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return Err(format!("untraced run {} has digest {digest:?}, not 16 hex", i + 1));
             }
-            if let Some(name) = run.lacks(contract.end_to_end.iter().map(|m| &m.name)) {
+            if let Some(name) = run.lacks(self.end_to_end.iter().map(|m| &m.name)) {
                 return Err(format!("untraced run {} lacks {name}", i + 1));
             }
         }
-        match file.traced.lacks(contract.per_layer.iter().map(|m| &m.name)) {
+        match file.traced.lacks(self.per_layer.iter().map(|m| &m.name)) {
             Some(name) => Err(format!("the traced run lacks {name}")),
             None => Ok(file),
         }
     }
 
-    /// Loads `dir/BENCH_<workload>.json`.
+    /// Loads and parses `dir/BENCH_<workload>.json`.
     ///
     /// # Errors
     ///
     /// [`PerfCheckError`] naming the path when the file is absent,
     /// unreadable or not a run set of `workload`.
-    pub fn load(dir: &Path, workload: &str) -> Result<BenchFile, PerfCheckError> {
+    pub fn load(&self, dir: &Path, workload: &str) -> Result<BenchFile, PerfCheckError> {
         let path = dir.join(format!("BENCH_{workload}.json"));
         let bytes = std::fs::read(&path).map_err(|e| PerfCheckError::Read(path.clone(), e))?;
         std::str::from_utf8(&bytes)
             .map_err(|e| e.to_string())
-            .and_then(|text| BenchFile::parse(text, workload))
+            .and_then(|text| self.parse(text, workload))
             .map_err(|reason| PerfCheckError::Parse(path, reason))
     }
+}
 
+impl BenchFile {
     fn digests(&self) -> BTreeSet<&str> {
         self.untraced.iter().filter_map(|r| r.digest.as_deref()).collect()
     }
@@ -422,8 +425,8 @@ pub fn run(results_dir: &Path, baseline_dir: &Path) -> Result<PerfReport, PerfCh
         .workloads
         .iter()
         .map(|Named { name }| {
-            let old = BenchFile::load(baseline_dir, name)?;
-            let new = BenchFile::load(results_dir, name)?;
+            let old = contract.load(baseline_dir, name)?;
+            let new = contract.load(results_dir, name)?;
             compare_workload(&contract, &old, &new)
         })
         .collect::<Result<_, _>>()?;
@@ -447,14 +450,14 @@ mod tests {
     }
 
     fn committed(workload: &str) -> BenchFile {
-        BenchFile::load(&committed_dir(), workload).expect("committed baseline parses")
+        Contract::builtin().load(&committed_dir(), workload).expect("committed baseline parses")
     }
 
     /// The serve_open baseline with `edit` applied to its JSON.
     fn edited(edit: impl FnOnce(&mut Value)) -> BenchFile {
         let mut v: Value = serde_json::from_str(&committed_text("serve_open")).unwrap();
         edit(&mut v);
-        BenchFile::parse(&v.to_string(), "serve_open").expect("edited file still parses")
+        Contract::builtin().parse(&v.to_string(), "serve_open").expect("edited file still parses")
     }
 
     fn compare(new: &BenchFile) -> WorkloadReport {
@@ -549,7 +552,8 @@ mod tests {
 
     #[test]
     fn a_file_for_another_workload_is_refused() {
-        let err = BenchFile::parse(&committed_text("serve_firehose"), "serve_open").unwrap_err();
+        let err =
+            Contract::builtin().parse(&committed_text("serve_firehose"), "serve_open").unwrap_err();
         assert!(err.contains("`serve_firehose`"), "{err}");
     }
 
@@ -558,7 +562,7 @@ mod tests {
         let parse = |edit: fn(&mut Value)| {
             let mut v: Value = serde_json::from_str(&committed_text("serve_open")).unwrap();
             edit(&mut v);
-            BenchFile::parse(&v.to_string(), "serve_open").unwrap_err()
+            Contract::builtin().parse(&v.to_string(), "serve_open").unwrap_err()
         };
         let err = parse(|v| {
             v["traced"]["metrics"].as_object_mut().unwrap().remove("dsp.range_fft_us");
@@ -575,7 +579,7 @@ mod tests {
         run.as_object_mut().unwrap().remove("digest");
         v["untraced"] = run;
         std::fs::write(dir.join("BENCH_serve_open.json"), v.to_string()).unwrap();
-        match BenchFile::load(&dir, "serve_open") {
+        match Contract::builtin().load(&dir, "serve_open") {
             Err(PerfCheckError::Parse(path, _)) => assert!(path.ends_with("BENCH_serve_open.json")),
             other => panic!("expected a parse error, got {other:?}"),
         }
@@ -591,6 +595,7 @@ mod tests {
         let dir = temp_dir("damage");
         let original = committed_text("attack_campaign").into_bytes();
         let path = dir.join("BENCH_attack_campaign.json");
+        let contract = Contract::builtin();
         let mut refused = 0;
         for seed in 0..CASES {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -605,7 +610,7 @@ mod tests {
                 }
             }
             std::fs::write(&path, &bytes).unwrap();
-            let loaded = std::panic::catch_unwind(|| BenchFile::load(&dir, "attack_campaign"))
+            let loaded = std::panic::catch_unwind(|| contract.load(&dir, "attack_campaign"))
                 .unwrap_or_else(|_| panic!("seed {seed}: loading a damaged baseline panicked"));
             match loaded {
                 Err(PerfCheckError::Parse(..)) => refused += 1,

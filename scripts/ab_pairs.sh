@@ -12,7 +12,8 @@
 # to the current directory. Runs use seed 1 and BENCHMARK.json's
 # run_seconds, through the tree's own perfbench/run.sh, building into
 # <tree>/.bench_build; a build may rewrite the tree's perfbench/Cargo.lock,
-# so use clean checkouts (`git archive <sha> | tar -x -C <dir>`).
+# so use clean checkouts (`git archive <sha> | tar -x -C <dir>`). A failed
+# run stops its workload; the other workloads' sets are still written.
 set -euo pipefail
 
 K=10
@@ -26,15 +27,18 @@ esac
 seconds="$(sed -n 's/^ *"run_seconds": *\([0-9]*\).*/\1/p' "$repo/BENCHMARK.json")"
 workloads="$(sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' "$repo/BENCHMARK.json")"
 for out in "${outs[@]}"; do mkdir -p "$out/runs"; done
+failed=" "
 
 # run <side> <workload> <run> <trace>: one perfbench run of tree <side>
-# into <out>/runs/<workload>_<run>.txt.
+# into <out>/runs/<workload>_<run>.txt, unless <workload> already failed.
 run() {
     local tree="${trees[$1]}" out="${outs[$1]}"
+    [[ $failed == *" $2 "* ]] && return
     echo "[runner] $tree: $2 run $3 (trace $4, ${seconds}s, seed $SEED)" >&2
     (cd "$tree" && CARGO_TARGET_DIR="$tree/.bench_build" bash perfbench/run.sh \
         --workload "$2" --seed "$SEED" --seconds "$seconds" --trace "$4") \
-        > "$out/runs/$2_$3.txt" 2>> "$out/runs/stderr.txt"
+        > "$out/runs/$2_$3.txt" 2>> "$out/runs/stderr.txt" \
+        || { echo "[runner] $tree: $2 run $3 FAILED, see $out/runs/stderr.txt" >&2; failed+="$2 "; }
 }
 
 for i in $(seq 1 "$K"); do
@@ -56,6 +60,7 @@ field() { sed -n "s/^# env.* $1=\([^ ]*\).*/\1/p" "$2"; }
 # `# <workload>:` line spliced in, and the traced result line.
 for out in "${outs[@]}"; do
     for w in $workloads; do
+        [[ $failed == *" $w "* ]] && continue
         first="$out/runs/${w}_1.txt"
         untraced=""
         for i in $(seq 1 "$K"); do
@@ -70,6 +75,7 @@ for out in "${outs[@]}"; do
     done
 done
 
+[ "$failed" = " " ] || { echo "[runner] no run set written for:$failed" >&2; exit 1; }
 if [ $# -eq 2 ]; then
     cargo run --release --quiet --manifest-path "$repo/Cargo.toml" --bin mmwave -- \
         perf-check change --baseline parent
